@@ -19,8 +19,9 @@
 //! runs keep the no-op recorder so the speedup figures measure the
 //! uninstrumented engine.
 //!
-//! Usage: `cargo run --release --bin engine_scaling [-- --quick]`
+//! Usage: `cargo run --release --bin engine_scaling [-- --quick] [--out-dir DIR]`
 //! (`--quick` runs one repetition instead of taking the best of three).
+//! Reports land in `DIR` (created if missing), by default the repo root.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,6 +95,7 @@ fn reduced_grid() -> Vec<ExperimentJob> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let out_dir = pr4::report_dir("--out-dir");
     let reps = if quick { 1 } else { 3 };
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let jobs = reduced_grid();
@@ -195,10 +197,9 @@ fn main() {
         job_run_ns_count: job_run.map_or(0, |h| h.count),
         job_run_ns_sum: job_run.map_or(0, |h| h.sum),
     };
-    let pr4_root = pr4::repo_root();
-    let mut bench4 = pr4::load(&pr4_root);
+    let mut bench4 = pr4::load(&out_dir);
     bench4.engine_scheduler = scheduler;
-    let pr4_out = pr4::save(&pr4_root, &bench4);
+    let pr4_out = pr4::save(&out_dir, &bench4);
     println!("wrote {} (scheduler section)", pr4_out.display());
 
     let report = ScalingReport {
@@ -210,14 +211,7 @@ fn main() {
         gate,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-
-    // The harness lives two levels below the repo root.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits at <root>/crates/bench")
-        .to_path_buf();
-    let out = root.join("BENCH_PR3.json");
+    let out = out_dir.join("BENCH_PR3.json");
     std::fs::write(&out, format!("{json}\n")).expect("write BENCH_PR3.json");
     println!("wrote {}", out.display());
     println!("{}", report.gate);

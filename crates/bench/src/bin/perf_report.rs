@@ -32,15 +32,13 @@
 //! records `not-applicable` rather than a fabricated pass).
 //!
 //! Since PR 9 the harness also writes `BENCH_PR9.json`: the GEMM kernel
-//! lineup (naive / scalar blocked / AVX2 / band-parallel) at 64, 256, and
-//! 512, plus batched GDA scoring per kernel backend and under the opt-in
-//! f32 path, with an honest multicore gate (a single-core host records
-//! `not-applicable` with the measured ratios rather than a fabricated
-//! pass).
+//! lineup (naive / scalar blocked / AVX2) at 64, 256, and 512; `bench_trend`
+//! gates the AVX2-over-blocked ratio at 256.
 //!
-//! Usage: `cargo run --release --bin perf_report [-- --quick]`
+//! Usage: `cargo run --release --bin perf_report [-- --quick] [--out-dir DIR]`
 //! (`--quick` shrinks repetition counts for a smoke run; problem sizes are
-//! unchanged so the speedup figures remain comparable).
+//! unchanged so the speedup figures remain comparable). Reports land in
+//! `DIR` (created if missing), by default the repo root.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,12 +52,11 @@ use faction_core::checkpoint::Checkpoint;
 use faction_core::{ExperimentConfig, LabeledPool, OnlineModel, PoolPolicy};
 use faction_data::datasets::Dataset;
 use faction_data::Scale;
-use faction_density::{DensityScratch, DensityScratch32, FairDensityConfig, FairDensityEstimator};
+use faction_density::{DensityScratch, FairDensityConfig, FairDensityEstimator};
 use faction_engine::{Engine, EngineConfig, ExperimentJob};
 use faction_linalg::kernels::{matmul_blocked, matmul_simple};
-use faction_linalg::parallel::matmul_parallel_into;
 use faction_linalg::simd::matmul_simd_into;
-use faction_linalg::{dispatch, KernelBackend, Matrix, SeedRng};
+use faction_linalg::{Matrix, SeedRng};
 use faction_nn::mlp::{Mlp, MlpConfig};
 use faction_nn::{BatchMeta, CrossEntropyLoss, MlpWorkspace, Sgd};
 use faction_serve::{parse_workload, ServeConfig, SessionManager};
@@ -195,17 +192,12 @@ struct GemmBackendRow {
     /// AVX2 micro-kernel path (`matmul_simd_into`; falls back to the
     /// scalar tile on hosts without AVX2 — `simd_available` says which).
     simd_ns: u64,
-    /// Band-parallel macro-kernel over the engine pool adapter.
-    parallel_ns: u64,
 }
 
-/// The report written to `BENCH_PR9.json`: the kernel-backend lineup. The
-/// headline ≥4x claim applies to the parallel backend on a multicore
-/// vectorizable host; a single-core container records `not-applicable`
-/// with the measured ratios instead of a fabricated pass. Note the scalar
-/// blocked baseline is itself compiled with `-C target-cpu=native`, so the
-/// explicit-intrinsics ratio over it measures *headroom over
-/// autovectorization*, not over scalar arithmetic.
+/// The report written to `BENCH_PR9.json`: the GEMM kernel lineup. Note
+/// the scalar blocked baseline is itself compiled with `-C
+/// target-cpu=native`, so the explicit-intrinsics ratio over it measures
+/// *headroom over autovectorization*, not over scalar arithmetic.
 #[derive(Debug, Serialize)]
 struct Bench9Report {
     /// Report schema / PR tag.
@@ -214,26 +206,12 @@ struct Bench9Report {
     quick: bool,
     /// Whether the AVX2 micro-kernel was actually live on this host.
     simd_available: bool,
-    /// Workers the band-parallel backend fanned over.
-    kernel_workers: usize,
     /// GEMM medians per backend at each size.
     gemm: Vec<GemmBackendRow>,
     /// blocked/simd at 256 — tracked across PRs by `bench_trend` (gate:
     /// the explicit micro-kernel must never fall >10% behind the
     /// autovectorized scalar path it replaced as the default).
     simd_vs_blocked_256: f64,
-    /// blocked/parallel at 512 — the multicore headline ratio.
-    parallel_vs_blocked_512: f64,
-    /// Batched GDA scoring (1000×16, 8 components) pinned to Scalar.
-    score_f64_scalar_ns: u64,
-    /// Same scoring pass pinned to Simd.
-    score_f64_simd_ns: u64,
-    /// Same scoring pass through the opt-in f32 path.
-    score_f32_ns: u64,
-    /// score_f64_scalar / score_f32.
-    f32_score_speedup: f64,
-    /// Human-readable `ok:` / `not-applicable:` / `fail:` line.
-    gate: String,
 }
 
 /// Per-pool-size checkpoint persistence cost (PR 10 section): the wire
@@ -361,6 +339,7 @@ fn synthetic(n: usize, d: usize, classes: usize, seed: u64) -> (Matrix, Vec<usiz
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let out_dir = pr4::report_dir("--out-dir");
     let reps = if quick { 3 } else { 11 };
     let mut stages: Vec<StageTiming> = Vec::new();
 
@@ -622,12 +601,7 @@ fn main() {
     // this is O(d) regardless of pool size; the old path memmoved the full
     // feature buffer, growing linearly over this range.
     //
-    // The harness lives two levels below the repo root.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits at <root>/crates/bench")
-        .to_path_buf();
+    let root = pr4::repo_root();
     let pr7_sizes = [250usize, 1000, 4000];
     let pr7_reps = if quick { 5 } else { 15 };
     let mut evictions: Vec<EvictionCostRow> = Vec::new();
@@ -764,12 +738,9 @@ fn main() {
     };
 
     // --- PR9: kernel-backend lineup --------------------------------------
-    // All four GEMM entry points are timed through their facade-free raw
-    // interfaces so the measurement pins a *backend*, not whatever the
-    // process-global dispatch happens to hold. The parallel rows run over
-    // the engine's real pool adapter (the same fan-out `--kernel-backend
-    // parallel` installs), so they include scheduling cost honestly.
-    let kernel_workers = faction_engine::install_kernel_parallelism(None);
+    // Every GEMM entry point is timed through its facade-free raw interface
+    // so the measurement pins a *backend*, not whatever the process-global
+    // dispatch resolved to.
     let pr9_dims = [64usize, 256, 512];
     let mut gemm_rows: Vec<GemmBackendRow> = Vec::new();
     let mut pr9_rng = SeedRng::new(71);
@@ -789,85 +760,21 @@ fn main() {
             matmul_simd_into(&a, &b, &mut out, dim, dim, dim);
             std::hint::black_box(&out);
         });
-        let parallel = time_stage(&format!("pr9_gemm_parallel_{dim}"), reps, 1, || {
-            matmul_parallel_into(&a, &b, &mut out, dim, dim, dim);
-            std::hint::black_box(&out);
-        });
         gemm_rows.push(GemmBackendRow {
             dim,
             naive_ns: naive.median_ns,
             blocked_ns: blocked.median_ns,
             simd_ns: simd.median_ns,
-            parallel_ns: parallel.median_ns,
         });
     }
     let row256 = &gemm_rows[1];
-    let row512 = &gemm_rows[2];
     let simd_vs_blocked_256 = row256.blocked_ns as f64 / row256.simd_ns.max(1) as f64;
-    let parallel_vs_blocked_512 = row512.blocked_ns as f64 / row512.parallel_ns.max(1) as f64;
-
-    // Batched GDA scoring per backend (the dispatch facade is what the
-    // scoring pipeline actually routes through), plus the opt-in f32 path.
-    let prev_backend = dispatch::active_backend();
-    dispatch::set_active_backend(KernelBackend::Scalar);
-    let score_scalar = time_stage("pr9_score_f64_scalar", reps, 2, || {
-        est.score_batch_into(&cand_x, &mut scratch, &mut log_density, &mut gaps).unwrap();
-        std::hint::black_box(&log_density);
-    });
-    dispatch::set_active_backend(KernelBackend::Simd);
-    let score_simd = time_stage("pr9_score_f64_simd", reps, 2, || {
-        est.score_batch_into(&cand_x, &mut scratch, &mut log_density, &mut gaps).unwrap();
-        std::hint::black_box(&log_density);
-    });
-    dispatch::set_active_backend(prev_backend);
-    let mut scratch32 = DensityScratch32::new();
-    let mut log_density32 = vec![0.0; n];
-    let mut gaps32 = Matrix::zeros(0, 0);
-    let score_f32 = time_stage("pr9_score_f32", reps, 2, || {
-        est.score_batch_f32_into(&cand_x, &mut scratch32, &mut log_density32, &mut gaps32)
-            .unwrap();
-        std::hint::black_box(&log_density32);
-    });
-    let f32_score_speedup = score_scalar.median_ns as f64 / score_f32.median_ns.max(1) as f64;
-
-    let simd_live = faction_linalg::dispatch::simd_available();
-    let pr9_gate = if kernel_workers < 2 {
-        format!(
-            "not-applicable: single-core host — the parallel macro-kernel has no cores to fan \
-             over (measured parallel {parallel_vs_blocked_512:.2}x at 512, simd \
-             {simd_vs_blocked_256:.2}x at 256 vs the target-cpu=native autovectorized scalar \
-             blocked path; the >=4x claim applies to multicore vectorizable hosts)"
-        )
-    } else if !simd_live {
-        format!(
-            "not-applicable: host lacks AVX2 — simd rows fell back to the scalar tile \
-             (measured parallel {parallel_vs_blocked_512:.2}x at 512 over {kernel_workers} \
-             workers)"
-        )
-    } else if parallel_vs_blocked_512 >= 4.0 {
-        format!(
-            "ok: parallel macro-kernel {parallel_vs_blocked_512:.2}x vs scalar blocked at 512 \
-             over {kernel_workers} workers (gate: >=4x); simd {simd_vs_blocked_256:.2}x at 256"
-        )
-    } else {
-        format!(
-            "fail: parallel macro-kernel {parallel_vs_blocked_512:.2}x vs scalar blocked at 512 \
-             over {kernel_workers} workers (gate: >=4x on a multicore vectorizable host)"
-        )
-    };
     let bench9 = Bench9Report {
         report: "BENCH_PR9".into(),
         quick,
-        simd_available: simd_live,
-        kernel_workers,
+        simd_available: faction_linalg::dispatch::simd_available(),
         gemm: gemm_rows,
         simd_vs_blocked_256,
-        parallel_vs_blocked_512,
-        score_f64_scalar_ns: score_scalar.median_ns,
-        score_f64_simd_ns: score_simd.median_ns,
-        score_f32_ns: score_f32.median_ns,
-        f32_score_speedup,
-        gate: pr9_gate.clone(),
     };
 
     // --- PR 10: wire persistence — checkpoint bytes + codec cost ---------
@@ -1009,38 +916,37 @@ fn main() {
         matmul_256_speedup,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let out = root.join("BENCH_PR1.json");
+    let out = out_dir.join("BENCH_PR1.json");
     std::fs::write(&out, format!("{json}\n")).expect("write BENCH_PR1.json");
 
     let json6 = serde_json::to_string_pretty(&bench6).expect("bench6 serializes");
-    let out6 = root.join("BENCH_PR6.json");
+    let out6 = out_dir.join("BENCH_PR6.json");
     std::fs::write(&out6, format!("{json6}\n")).expect("write BENCH_PR6.json");
 
     let json7 = serde_json::to_string_pretty(&bench7).expect("bench7 serializes");
-    let out7 = root.join("BENCH_PR7.json");
+    let out7 = out_dir.join("BENCH_PR7.json");
     std::fs::write(&out7, format!("{json7}\n")).expect("write BENCH_PR7.json");
 
     let json8 = serde_json::to_string_pretty(&bench8).expect("bench8 serializes");
-    let out8 = root.join("BENCH_PR8.json");
+    let out8 = out_dir.join("BENCH_PR8.json");
     std::fs::write(&out8, format!("{json8}\n")).expect("write BENCH_PR8.json");
 
     let json9 = serde_json::to_string_pretty(&bench9).expect("bench9 serializes");
-    let out9 = root.join("BENCH_PR9.json");
+    let out9 = out_dir.join("BENCH_PR9.json");
     std::fs::write(&out9, format!("{json9}\n")).expect("write BENCH_PR9.json");
 
     let json10 = serde_json::to_string_pretty(&bench10).expect("bench10 serializes");
-    let out10 = root.join("BENCH_PR10.json");
+    let out10 = out_dir.join("BENCH_PR10.json");
     std::fs::write(&out10, format!("{json10}\n")).expect("write BENCH_PR10.json");
 
     // Merge this harness's sections into BENCH_PR4.json, preserving the
     // scheduler section engine_scaling maintains.
-    let pr4_root = pr4::repo_root();
-    let mut bench4 = pr4::load(&pr4_root);
+    let mut bench4 = pr4::load(&out_dir);
     let overhead_gate = telemetry_overhead.gate.clone();
     let coverage_gate = phase_coverage.gate.clone();
     bench4.telemetry_overhead = telemetry_overhead;
     bench4.phase_coverage = phase_coverage;
-    let pr4_out = pr4::save(&pr4_root, &bench4);
+    let pr4_out = pr4::save(&out_dir, &bench4);
 
     println!("wrote {}", out.display());
     println!("wrote {}", out6.display());
@@ -1076,14 +982,13 @@ fn main() {
     }
     for r in &bench9.gemm {
         println!(
-            "pr9_gemm dim={:<4} naive {:>12} ns   blocked {:>12} ns   simd {:>12} ns   \
-             parallel {:>12} ns",
-            r.dim, r.naive_ns, r.blocked_ns, r.simd_ns, r.parallel_ns
+            "pr9_gemm dim={:<4} naive {:>12} ns   blocked {:>12} ns   simd {:>12} ns",
+            r.dim, r.naive_ns, r.blocked_ns, r.simd_ns
         );
     }
     println!(
-        "pr9_score f64(scalar) {} ns   f64(simd) {} ns   f32 {} ns ({f32_score_speedup:.2}x)",
-        bench9.score_f64_scalar_ns, bench9.score_f64_simd_ns, bench9.score_f32_ns
+        "pr9_simd_vs_blocked_256 {simd_vs_blocked_256:.2}x (simd available: {})",
+        bench9.simd_available
     );
     for r in &bench10.checkpoints {
         println!(
@@ -1104,6 +1009,5 @@ fn main() {
     println!("{pr6_gate}");
     println!("{pr7_gate}");
     println!("{pr8_gate}");
-    println!("{pr9_gate}");
     println!("{pr10_gate}");
 }

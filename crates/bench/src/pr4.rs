@@ -136,6 +136,22 @@ pub fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The directory the bench harnesses write their `BENCH_PR*.json` reports
+/// to (and `bench_trend` reads them from): the value after `flag` on the
+/// command line, created if missing, or the repo root when the flag is
+/// absent. `scripts/check.sh` points its smoke runs under `target/` so they
+/// never rewrite the committed reports.
+pub fn report_dir(flag: &str) -> PathBuf {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return repo_root();
+    };
+    let dir = PathBuf::from(args.get(pos + 1).unwrap_or_else(|| panic!("{flag} needs a value")));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("create {flag} {}: {e}", dir.display()));
+    dir
+}
+
 /// Loads the existing `BENCH_PR4.json`, or a default report when the file
 /// is missing or from an older schema.
 pub fn load(root: &Path) -> Bench4Report {

@@ -733,6 +733,24 @@ mod tests {
         let mut back: IncrementalGda =
             serde::Deserialize::from_value(&serde::Serialize::to_value(&inc)).unwrap();
         assert_eq!(back.len_used(), inc.len_used());
+        // The config entry `"precision":"f64"` is still written for byte
+        // stability; snapshots (and bare configs) that carry `"f32"` there,
+        // or no entry at all, decode to the same state.
+        let json = serde_json::to_string(&inc).unwrap();
+        let cfg_json = serde_json::to_string(&cfg()).unwrap();
+        for text in [&json, &cfg_json] {
+            assert_eq!(text.matches("\"precision\":\"f64\"").count(), 1, "{text}");
+        }
+        for replacement in ["\"precision\":\"f32\"", ""] {
+            let legacy = |text: &str| {
+                text.replace(",\"precision\":\"f64\"", &format!(",{replacement}"))
+                    .replace(",}", "}")
+            };
+            let old: IncrementalGda = serde_json::from_str(&legacy(&json)).unwrap();
+            assert_eq!(serde_json::to_string(&old).unwrap(), json);
+            let old_cfg: FairDensityConfig = serde_json::from_str(&legacy(&cfg_json)).unwrap();
+            assert_eq!(serde_json::to_string(&old_cfg).unwrap(), cfg_json);
+        }
         // Same further mutations produce bit-identical scores.
         let z = random_row(&mut rng, d, 0.5);
         inc.insert(64, &z, 1, -1).unwrap();
