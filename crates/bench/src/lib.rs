@@ -11,11 +11,14 @@
 //!   for every worker count — see `DESIGN.md` §8);
 //! * [`write_output`] — persist the human-readable table and the
 //!   machine-readable JSON under `results/`.
+//!
+//! The [`perf`] module holds the schema, gate table and gate evaluator of
+//! the `perf_report` smoke harness.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod pr4;
+pub mod perf;
 
 use std::fs;
 use std::path::PathBuf;
@@ -56,6 +59,13 @@ pub struct HarnessOptions {
 impl HarnessOptions {
     /// Parses `std::env::args()`. Unknown flags abort with a usage message.
     pub fn from_args() -> HarnessOptions {
+        HarnessOptions::parse(std::env::args().skip(1))
+    }
+
+    /// Parses the arguments after the program name. `--seeds` defaults to
+    /// 5, or 2 under `--quick`; an explicit `--seeds N` wins in either
+    /// order. Unknown flags abort with a usage message.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> HarnessOptions {
         let mut options = HarnessOptions {
             quick: false,
             seeds: 5,
@@ -64,16 +74,14 @@ impl HarnessOptions {
             jobs: 1,
             pool_policy: PoolPolicy::Unbounded,
         };
-        let mut args = std::env::args().skip(1);
+        let mut seeds: Option<u64> = None;
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--quick" => {
-                    options.quick = true;
-                    options.seeds = options.seeds.min(2);
-                }
+                "--quick" => options.quick = true,
                 "--seeds" => {
                     let v = args.next().expect("--seeds needs a value");
-                    options.seeds = v.parse().expect("--seeds must be an integer");
+                    seeds = Some(v.parse().expect("--seeds must be an integer"));
                 }
                 "--dataset" => {
                     let v = args.next().expect("--dataset needs a value");
@@ -106,6 +114,7 @@ impl HarnessOptions {
                 ),
             }
         }
+        options.seeds = seeds.unwrap_or(if options.quick { 2 } else { 5 });
         options
     }
 
@@ -250,6 +259,20 @@ pub fn write_output(options: &HarnessOptions, name: &str, text: &str, json: &imp
 mod tests {
     use super::*;
     use faction_core::strategies::{EntropyAl, Random};
+
+    fn parse(args: &[&str]) -> HarnessOptions {
+        HarnessOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn explicit_seeds_win_over_quick_in_either_order() {
+        assert_eq!(parse(&["--seeds", "5", "--quick"]).seeds, 5);
+        assert_eq!(parse(&["--quick", "--seeds", "5"]).seeds, 5);
+        assert_eq!(parse(&["--quick"]).seeds, 2);
+        assert_eq!(parse(&[]).seeds, 5);
+        let options = parse(&["fair", "--seeds", "1", "--quick"]);
+        assert_eq!((options.seeds, options.quick), (1, true));
+    }
 
     #[test]
     fn run_lineup_aggregates_each_factory() {

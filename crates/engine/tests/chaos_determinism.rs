@@ -27,8 +27,8 @@ use faction_telemetry::{Handle, Registry};
 const CHAOS_SEEDS: [u64; 3] = [1, 2, 3];
 
 /// The 24-job sanitizer grid: 2 datasets × 3 strategies × 4 seeds, the same
-/// shape as the BENCH_PR3 scaling grid but truncated harder so the sweep
-/// (1 baseline + 3 chaos runs) stays in test-suite budget.
+/// shape as `perf_report`'s grid-scaling section but truncated harder so
+/// the sweep (1 baseline + 3 chaos runs) stays in test-suite budget.
 fn sanitizer_grid() -> Vec<ExperimentJob> {
     let cfg = ExperimentConfig {
         budget: 20,

@@ -59,7 +59,7 @@ fn run_record_fixture(seed: u64, tasks: usize) -> RunRecord {
     }
     RunRecord {
         strategy: "FACTION".to_string(),
-        dataset: if seed % 2 == 0 { "NYSF" } else { "RCMNIST" }.to_string(),
+        dataset: if seed.is_multiple_of(2) { "NYSF" } else { "RCMNIST" }.to_string(),
         seed,
         records,
         total_seconds: rng.uniform() * 10.0,

@@ -167,9 +167,10 @@ impl Matrix {
     /// tombstone offset advances and the dead prefix is reclaimed in one
     /// bulk `drain` only once dead rows outnumber live ones, so the buffer
     /// never holds more than ~2× the live data and no per-eviction
-    /// O(rows · cols) memmove happens (the BENCH_PR6 residual). Removing an
-    /// interior row (reservoir pools never do; they overwrite in place) is
-    /// the original O((rows − r) · cols) shift.
+    /// O(rows · cols) memmove happens (the residual growth `perf_report`'s
+    /// `incremental_growth` gate once measured). Removing an interior row
+    /// (reservoir pools never do; they overwrite in place) is the original
+    /// O((rows − r) · cols) shift.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `r >= rows()`.
@@ -768,7 +769,7 @@ mod tests {
         let mut model: Vec<Vec<f64>> = Vec::new();
         for step in 0..200usize {
             match step % 5 {
-                0 | 1 | 2 => {
+                0..=2 => {
                     let row = vec![step as f64, -(step as f64)];
                     m.push_row(&row).unwrap();
                     model.push(row);

@@ -37,7 +37,7 @@ fn main() {
     let mut previous_env = first.env;
     for task in &stream.tasks {
         // Live drift check against the current pool.
-        let pool_features = model.mlp().features(&pool.features());
+        let pool_features = model.mlp().features(pool.features());
         let incoming_features = model.mlp().features(&task.features());
         let report = detector
             .score(

@@ -2,9 +2,8 @@
 # One-shot pre-commit gate: build, tests, lints, the determinism/numerics
 # analyzer, and a perf-harness smoke run. Everything runs from the repo
 # root regardless of invocation cwd, and a per-stage timing table prints
-# at the end. The perf smoke writes its reports under target/bench-smoke/,
-# so the committed BENCH_PR*.json history is never rewritten and a full
-# run leaves the working tree clean.
+# at the end. The perf smoke writes its one report under
+# target/bench-smoke/, so a full run leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,8 +31,9 @@ run_stage "cargo build --release" \
 run_stage "cargo test -q --workspace" \
     cargo test -q --workspace
 
-run_stage "cargo clippy --workspace -- -D warnings" \
-    cargo clippy --workspace -- -D warnings
+# Every target: libraries, binaries, tests, examples and #[cfg(test)] code.
+run_stage "cargo clippy --workspace --all-targets -- -D warnings" \
+    cargo clippy --workspace --all-targets -- -D warnings
 
 # Blocking static-analysis gate: any finding (HashMap iteration, lib-crate
 # unwrap, float ==, ambient RNG/clock, narrowing cast in kernels, missing
@@ -52,11 +52,14 @@ run_stage "faction-analyzer (determinism & numerics lint)" \
 run_stage "analyzer-v2 (golden fixtures + self-scan)" \
     cargo test -q -p faction-analyzer --release --test golden
 
-run_stage "perf_report --quick (smoke)" \
-    cargo run -p faction-bench --release --bin perf_report -- --quick --out-dir "${BENCH_SMOKE}"
-
-run_stage "engine_scaling --quick (smoke)" \
-    cargo run -p faction-bench --release --bin engine_scaling -- --quick --out-dir "${BENCH_SMOKE}"
+# Perf gate: one perf_report --quick run times every stage, evaluates the
+# gate table (kernel and scoring speedups, telemetry overhead, phase
+# coverage, refit and eviction growth, analyzer findings, wire size, grid
+# scaling) into target/bench-smoke/perf_report.json, and exits 1 if any
+# gate fails. Its determinism asserts (every worker count and the
+# instrumented grid byte-identical to the 1-worker run) fail it too.
+run_stage "perf_report --quick (perf gates)" \
+    cargo run -q -p faction-bench --release --bin perf_report -- --quick --out-dir "${BENCH_SMOKE}"
 
 # Incremental-GDA correctness gate: on a stationary stream with a frozen
 # model, the rank-1 update/downdate path must stay within 1e-8 of a full
@@ -64,13 +67,6 @@ run_stage "engine_scaling --quick (smoke)" \
 # back to <=1e-10 immediately after a re-anchor (DESIGN.md §11).
 run_stage "incremental-GDA stationary equivalence (<=1e-8 vs batch refit)" \
     cargo test -q -p faction-density --release --test incremental_equivalence
-
-# Perf gate: read the BENCH_PR*.json reports the two smoke runs above just
-# wrote, print the key medians side by side, and fail on a >10% regression
-# of any gated stage against its shipped claim (harness-written "fail:"
-# gates also fail; "not-applicable:" does not).
-run_stage "bench trend (perf gates on this run's reports)" \
-    cargo run -q -p faction-bench --release --bin bench_trend -- --dir "${BENCH_SMOKE}"
 
 # Fault-injection gate: every strategy must survive a poisoned stream
 # (NaN/Inf features, vanishing groups, constant-feature and single-class
