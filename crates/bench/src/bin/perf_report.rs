@@ -8,7 +8,8 @@
 //!   naive / blocked / AVX2 at 64, 256 and 512;
 //! * GDA fit and scoring (per-sample reference vs batched), and the same
 //!   batched pass with a live telemetry registry in scope;
-//! * MLP feature extraction, one training step, one FACTION round;
+//! * MLP feature extraction, training steps (and the step/forward ratio
+//!   at the 64-row training shape), one FACTION round;
 //! * per-round cost vs pool size under full and incremental refit;
 //! * steady-state sliding-window push+evict cost vs pool size, and the
 //!   analyzer's workspace self-scan;
@@ -259,7 +260,8 @@ fn scoring(report: &mut PerfReport, reps: usize, inputs: &Inputs) {
     report.gate("telemetry_overhead_pct", overhead_pct[pairs / 2]);
 }
 
-/// MLP feature extraction, one training step, and one full FACTION
+/// MLP feature extraction, training steps at a 512-row and the 64-row
+/// training batch (gating the step/forward ratio), and one full FACTION
 /// selection round. Returns the trained model the pool sections score with.
 fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) -> OnlineModel {
     let arch = MlpConfig::new(vec![D, 64, 32, 2], 31);
@@ -281,6 +283,23 @@ fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) -> OnlineMode
         let loss = mlp.train_step_with(&batch, &meta, &CrossEntropyLoss, &mut opt, &mut ws);
         std::hint::black_box(loss);
     }));
+
+    // Backprop against forward at the shape training really runs: one
+    // 64-row batch through 16→64→32→2, both timed on this thread.
+    let rows = 64;
+    let meta = BatchMeta { labels: &inputs.binary_y[..rows], sensitive: &inputs.train_s[..rows] };
+    let head = inputs.train_x.as_slice()[..rows * D].to_vec();
+    let batch = Matrix::from_vec(rows, D, head).unwrap();
+    let mut logits = Matrix::zeros(0, 0);
+    let forward = report.stage(time_stage("forward_64", reps, 200, || {
+        mlp.logits_into(&batch, &mut ws, &mut logits);
+        std::hint::black_box(&logits);
+    }));
+    let step = report.stage(time_stage("train_step_64", reps, 200, || {
+        let loss = mlp.train_step_with(&batch, &meta, &CrossEntropyLoss, &mut opt, &mut ws);
+        std::hint::black_box(loss);
+    }));
+    report.gate("train_step_over_forward", step as f64 / forward.max(1) as f64);
 
     let mut model = OnlineModel::new(&arch, &ExperimentConfig::quick(), 37);
     let mut pool = LabeledPool::new();

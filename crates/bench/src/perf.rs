@@ -201,6 +201,10 @@ pub const GATES: &[GateSpec] = &[
     // The AVX2 micro-kernel over the autovectorized scalar blocked path at
     // 256²: it must never fall more than 10% behind the path it replaced.
     GateSpec { name: "simd_vs_blocked_256", bound: 0.9, better: Better::Higher },
+    // One MLP training step over one forward pass, same thread, at the
+    // training shape (64-row batch, 16→64→32→2): backprop must stay within
+    // a small multiple of forward.
+    GateSpec { name: "train_step_over_forward", bound: 5.0, better: Better::Lower },
     // Pretty JSON debug export bytes over wire container bytes, pool 4000.
     GateSpec { name: "pretty_ratio_4000", bound: 3.0, better: Better::Higher },
     // Grid wall time at 1 worker over 4 workers; applies on 4+ cores only.
@@ -497,6 +501,7 @@ mod tests {
                 ("eviction_growth", 2.0, "<="),
                 ("analyzer_findings", 0.0, "<="),
                 ("simd_vs_blocked_256", 0.9, ">="),
+                ("train_step_over_forward", 5.0, "<="),
                 ("pretty_ratio_4000", 3.0, ">="),
                 ("grid_speedup_4_workers", 3.0, ">="),
             ]

@@ -18,9 +18,11 @@
 //! sum over ascending `k` (partial sums flow through the register tile in
 //! the same sequence the scalar loop would store them). The blocked products
 //! are therefore bit-identical to [`matmul_simple`], which the property
-//! tests in `faction-linalg` assert. Keeping bit parity matters beyond
-//! testing: experiment JSON artifacts are reproducible byte-for-byte whether
-//! or not a given build dispatches to the blocked path.
+//! tests in `faction-linalg` assert. The backprop products `aᵀ·b` and
+//! `a·bᵀ` run through the same sweep and micro-kernels (see
+//! [`matmul_tn_into`] and [`matmul_nt_into`]). Keeping bit parity matters
+//! beyond testing: experiment JSON artifacts are reproducible byte-for-byte
+//! whether or not a given build dispatches to the blocked path.
 //!
 //! All functions take raw row-major slices plus dimensions; the `Matrix`
 //! methods in [`crate::matrix`] do shape checking and call in here. The
@@ -28,6 +30,8 @@
 //! builds: the checks are O(1) against O(m·n·k) work, and a shape bug in a
 //! direct kernel call must fail loudly instead of reading logically
 //! adjacent memory.
+
+use std::cell::RefCell;
 
 /// Rows of `A` packed per micro-panel (register-tile height).
 pub const MR: usize = 4;
@@ -81,10 +85,7 @@ pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// throughput choice, never a results choice.
 // analyzer:hot-path
 pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    match crate::dispatch::active_backend() {
-        crate::dispatch::KernelBackend::Scalar => matmul_blocked(a, b, out, m, k, n),
-        crate::dispatch::KernelBackend::Simd => crate::simd::matmul_simd_into(a, b, out, m, k, n),
-    }
+    gemm_nn(a, b, out, m, k, n, active_full_tile());
 }
 
 /// Blocked, packed product: `out = a · b` (`out` pre-zeroed by the caller).
@@ -95,21 +96,21 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
 /// bit-identical either way (see module docs).
 // analyzer:hot-path
 pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(out.len(), m * n);
-    if m * k * n <= SMALL_VOLUME || n < NR {
-        matmul_simple(a, b, out, m, k, n);
-        return;
-    }
-    blocked_sweep(a, b, out, m, k, n, kernel_full);
+    gemm_nn(a, b, out, m, k, n, kernel_full);
 }
 
-/// The shared macro-kernel: packs A micro-panels and sweeps register tiles
-/// over the whole output, calling `full_tile` for full `MR × NR` tiles and
-/// the scalar [`kernel_edge`] for remainders.
+/// The full-tile micro-kernel of the backend [`crate::dispatch`] resolved.
+fn active_full_tile() -> FullTile {
+    match crate::dispatch::active_backend() {
+        crate::dispatch::KernelBackend::Scalar => kernel_full,
+        crate::dispatch::KernelBackend::Simd => crate::simd::select_full_tile(),
+    }
+}
+
+/// `out += a · b` with a chosen full-tile micro-kernel: [`matmul_simple`]
+/// for small volumes and `n < NR`, the blocked sweep otherwise.
 // analyzer:hot-path
-pub(crate) fn blocked_sweep(
+pub(crate) fn gemm_nn(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -118,7 +119,42 @@ pub(crate) fn blocked_sweep(
     n: usize,
     full_tile: FullTile,
 ) {
-    // Packed A micro-panel, k-major: apack[kk * MR + ii] = a[ib+ii][kb+kk].
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(out.len(), m * n);
+    if m * k * n <= SMALL_VOLUME || n < NR {
+        matmul_simple(a, b, out, m, k, n);
+        return;
+    }
+    blocked_sweep(a, ALayout::RowMajor, b, out, m, k, n, full_tile);
+}
+
+/// How [`blocked_sweep`] reads the logical `m×k` left operand.
+#[derive(Clone, Copy)]
+pub(crate) enum ALayout {
+    /// Stored `m×k` row-major: `A[i][kk] = a[i * k + kk]`.
+    RowMajor,
+    /// Stored `k×m` row-major (the operand of `aᵀ · b`):
+    /// `A[i][kk] = a[kk * m + i]`.
+    Transposed,
+}
+
+/// The shared macro-kernel: packs A micro-panels and sweeps register tiles
+/// over the whole output, calling `full_tile` for full `MR × NR` tiles and
+/// the scalar [`kernel_edge`] for remainders.
+// analyzer:hot-path
+#[allow(clippy::too_many_arguments)] // macro-kernel: raw slices, layout, dimensions and tile kernel
+pub(crate) fn blocked_sweep(
+    a: &[f64],
+    layout: ALayout,
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    full_tile: FullTile,
+) {
+    // Packed A micro-panel, k-major: apack[kk * MR + ii] = A[ib+ii][kb+kk].
     let mut apack = [0.0f64; MR * KC];
     let mut kb = 0;
     while kb < k {
@@ -126,9 +162,20 @@ pub(crate) fn blocked_sweep(
         let mut ib = 0;
         while ib < m {
             let ilen = MR.min(m - ib);
-            for kk in 0..klen {
-                for ii in 0..ilen {
-                    apack[kk * MR + ii] = a[(ib + ii) * k + kb + kk];
+            match layout {
+                ALayout::RowMajor => {
+                    for kk in 0..klen {
+                        for ii in 0..ilen {
+                            apack[kk * MR + ii] = a[(ib + ii) * k + kb + kk];
+                        }
+                    }
+                }
+                // Each packed k-step is a contiguous run of the stored row.
+                ALayout::Transposed => {
+                    for kk in 0..klen {
+                        let src = (kb + kk) * m + ib;
+                        apack[kk * MR..kk * MR + ilen].copy_from_slice(&a[src..src + ilen]);
+                    }
                 }
             }
             let mut jb = 0;
@@ -216,18 +263,46 @@ pub(crate) fn kernel_edge(
     }
 }
 
-/// Transposed-LHS product `out = aᵀ · b` without materializing `aᵀ`.
+/// Transposed-LHS product `out = aᵀ · b` without materializing `aᵀ`,
+/// dispatched like [`matmul_into`].
 ///
 /// `a` is `k×m`, `b` is `k×n`, `out` is `m×n` (pre-zeroed). This is the
-/// backprop `grad_w = xᵀ · δ` shape; the k-outer axpy sweep reads both
-/// operands row-contiguously and keeps per-element ascending-k order, so it
-/// is bit-identical to `a.transpose().matmul(b)`.
+/// backprop `grad_w = xᵀ · δ` shape. The blocked path packs its A
+/// micro-panels straight from the `k×m` layout (a contiguous read per
+/// k-step), so no transpose buffer exists; every element keeps the
+/// ascending-k order, bit-identical to `a.transpose().matmul(b)`.
 // analyzer:hot-path
-// analyzer:ordered: k-outer axpy keeps per-element ascending-k order (bit-identical to transpose+matmul)
 pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    gemm_tn(a, b, out, k, m, n, active_full_tile());
+}
+
+/// [`matmul_tn_into`] on the scalar reference micro-kernel.
+// analyzer:hot-path
+pub fn matmul_tn_blocked(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    gemm_tn(a, b, out, k, m, n, kernel_full);
+}
+
+/// `out += aᵀ · b` with a chosen full-tile micro-kernel. Small volumes and
+/// `n < NR` keep the k-outer axpy sweep, which reads both operands
+/// row-contiguously in the same per-element ascending-k order.
+// analyzer:hot-path
+// analyzer:ordered: k-outer axpy keeps per-element ascending-k order (bit-identical to the blocked sweep)
+pub(crate) fn gemm_tn(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    k: usize,
+    m: usize,
+    n: usize,
+    full_tile: FullTile,
+) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
+    if m * k * n > SMALL_VOLUME && n >= NR {
+        blocked_sweep(a, ALayout::Transposed, b, out, m, k, n, full_tile);
+        return;
+    }
     for kk in 0..k {
         let a_row = &a[kk * m..(kk + 1) * m];
         let b_row = &b[kk * n..(kk + 1) * n];
@@ -240,23 +315,55 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
     }
 }
 
-/// Transposed-RHS product `out = a · bᵀ` without materializing `bᵀ`.
+/// Transposed-RHS product `out = a · bᵀ`, dispatched like [`matmul_into`].
 ///
 /// `a` is `m×k`, `b` is `n×k`, `out` is `m×n` (overwritten). This is the
-/// backprop `dx = δ · wᵀ` shape; each output element is a contiguous
-/// row·row dot, bit-identical to `a.matmul(&b.transpose())`.
+/// backprop `dx = δ · wᵀ` shape. `b` is transposed into a grow-only
+/// per-thread scratch and multiplied on the `a · b` path with `out` seeded
+/// to `-0.0`: each element is then `-0.0 + a[i][0]·b[j][0] + …`, the exact
+/// fold of `vector::dot` (`Iterator::sum` for `f64` starts at `-0.0`), so
+/// the result matches the row·row dot bit for bit, signed zeros included.
 // analyzer:hot-path
 pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm_nt(a, b, out, m, k, n, active_full_tile());
+}
+
+/// [`matmul_nt_into`] on the scalar reference micro-kernel.
+// analyzer:hot-path
+pub fn matmul_nt_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm_nt(a, b, out, m, k, n, kernel_full);
+}
+
+thread_local! {
+    /// `bᵀ` for [`gemm_nt`]; grows to the largest `k×n` seen on this thread.
+    static NT_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `out = a · bᵀ` with a chosen full-tile micro-kernel (see
+/// [`matmul_nt_into`] for the `-0.0` seed).
+// analyzer:hot-path
+pub(crate) fn gemm_nt(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    full_tile: FullTile,
+) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = crate::vector::dot(a_row, &b[j * k..(j + 1) * k]);
+    out.fill(-0.0);
+    NT_SCRATCH.with(|scratch| {
+        let mut bt = scratch.borrow_mut();
+        if bt.len() < k * n {
+            bt.resize(k * n, 0.0);
         }
-    }
+        let bt = &mut bt[..k * n];
+        transpose_into(b, bt, n, k);
+        gemm_nn(a, bt, out, m, k, n, full_tile);
+    });
 }
 
 /// Cache-blocked transpose: `out[c][r] = a[r][c]` for an `m×n` input.
@@ -357,8 +464,10 @@ mod tests {
         let mut got = vec![0.0; m * n];
         matmul_nt_into(&a, &b, &mut got, m, k, n);
         for (x, y) in want.iter().zip(&got) {
-            // Row·row dot and k-ascending axpy share the same addition
-            // sequence, so these are bit-equal too.
+            // Equal only because these random inputs make no product
+            // `-0.0`: `nt` folds from `-0.0` (the `vector::dot` order),
+            // `matmul_simple` from the caller's `+0.0`, so an element whose
+            // every product is `-0.0` would differ in its sign bit.
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -28,7 +28,7 @@
 //! enforced by the workspace analyzer, and this file's `#[cfg(test)]`
 //! region cross-checks the kernel against the scalar reference.
 
-use crate::kernels::{kernel_full, matmul_simple, MR, NR, SMALL_VOLUME};
+use crate::kernels::{kernel_full, MR, NR};
 
 /// Blocked, packed product `out += a · b` using the AVX2 micro-kernel for
 /// full register tiles (`out` pre-zeroed by the caller for a plain
@@ -38,14 +38,21 @@ use crate::kernels::{kernel_full, matmul_simple, MR, NR, SMALL_VOLUME};
 /// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major.
 // analyzer:hot-path
 pub fn matmul_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(out.len(), m * n);
-    if m * k * n <= SMALL_VOLUME || n < NR {
-        matmul_simple(a, b, out, m, k, n);
-        return;
-    }
-    crate::kernels::blocked_sweep(a, b, out, m, k, n, select_full_tile());
+    crate::kernels::gemm_nn(a, b, out, m, k, n, select_full_tile());
+}
+
+/// [`crate::kernels::matmul_tn_into`] (`out += aᵀ · b`, `a` stored `k×m`)
+/// on the AVX2 micro-kernel.
+// analyzer:hot-path
+pub fn matmul_tn_simd_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    crate::kernels::gemm_tn(a, b, out, k, m, n, select_full_tile());
+}
+
+/// [`crate::kernels::matmul_nt_into`] (`out = a · bᵀ`, `b` stored `n×k`)
+/// on the AVX2 micro-kernel.
+// analyzer:hot-path
+pub fn matmul_nt_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    crate::kernels::gemm_nt(a, b, out, m, k, n, select_full_tile());
 }
 
 /// The best available full-tile micro-kernel for this host: AVX2 when the
@@ -171,7 +178,7 @@ unsafe fn kernel_full_avx2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::matmul_into;
+    use crate::kernels::{matmul_into, matmul_simple};
     use crate::rng::SeedRng;
 
     fn random(m: usize, n: usize, rng: &mut SeedRng) -> Vec<f64> {

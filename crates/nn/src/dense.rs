@@ -98,22 +98,34 @@ impl Dense {
     /// `dL/db` into the layer's gradient buffers (overwriting them) and
     /// returns `dL/dX`.
     pub fn backward(&mut self, x: &Matrix, delta: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(delta.rows(), self.fan_in());
-        self.backward_into(x, delta, &mut dx);
+        let mut dx = Matrix::default();
+        self.param_grads(x, delta);
+        self.input_grad_into(delta, &mut dx);
         dx
     }
 
-    /// Backward pass writing `dL/dX` into a caller-provided buffer. Uses the
-    /// transpose-free GEMM kernels (`XᵀΔ` and `ΔWᵀ` without materializing
-    /// either transpose), so the only state touched is the layer's own
-    /// gradient buffers and `dx`.
-    pub fn backward_into(&mut self, x: &Matrix, delta: &Matrix, dx: &mut Matrix) {
+    /// Parameter half of the backward pass: overwrites the layer's gradient
+    /// buffers with `dL/dW = XᵀΔ` (transpose-free GEMM) and `dL/db`, the
+    /// column sums of `delta`.
+    pub fn param_grads(&mut self, x: &Matrix, delta: &Matrix) {
         debug_assert_eq!(x.rows(), delta.rows(), "batch size mismatch");
         // analyzer:allow(unwrap-in-lib): gradient buffers are layer-shaped by construction
         x.matmul_tn_into(delta, &mut self.grad_w).expect("dense backward shape");
-        for c in 0..delta.cols() {
-            self.grad_b[c] = (0..delta.rows()).map(|r| delta.get(r, c)).sum();
+        // Row-major column sums, each column folded from `-0.0` over
+        // ascending rows: the exact order (signed zeros included) of a
+        // per-column `Iterator::sum`.
+        self.grad_b.fill(-0.0);
+        for r in 0..delta.rows() {
+            for (g, &d) in self.grad_b.iter_mut().zip(delta.row(r)) {
+                *g += d;
+            }
         }
+    }
+
+    /// Input half of the backward pass: writes `dL/dX = ΔWᵀ` into `dx`
+    /// (reshaped as needed) without materializing `Wᵀ`. The first layer of
+    /// a network skips it, since nothing reads its input gradient.
+    pub fn input_grad_into(&self, delta: &Matrix, dx: &mut Matrix) {
         dx.reset_to_zeros(delta.rows(), self.fan_in());
         // analyzer:allow(unwrap-in-lib): `dx` reset to the matching shape on the line above
         delta.matmul_nt_into(&self.w, dx).expect("dense backward dX shape");
@@ -169,6 +181,27 @@ mod tests {
         // Bias gradient is the column sum of delta.
         let [(_, _), (_, gb)] = layer.params_and_grads_mut();
         assert_eq!(gb, &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn bias_grad_matches_the_per_column_sum_fold() {
+        // Column 0 sums to zero from both signs, column 1 holds only
+        // `-0.0` (so only a `-0.0` seed keeps its sign), column 2 is mixed.
+        let mut rng = SeedRng::new(7);
+        let mut layer = Dense::new(&mut rng, 2, 3, true);
+        let x = Matrix::filled(3, 2, 1.0);
+        let delta = Matrix::from_rows(&[
+            vec![1.5, -0.0, 0.25],
+            vec![-1.5, -0.0, -3.0],
+            vec![0.0, -0.0, 1e-300],
+        ])
+        .unwrap();
+        layer.param_grads(&x, &delta);
+        for c in 0..3 {
+            let want: f64 = (0..3).map(|r| delta.get(r, c)).sum();
+            assert_eq!(layer.grad_b[c].to_bits(), want.to_bits(), "column {c}");
+        }
+        assert!(layer.grad_b[1].is_sign_negative());
     }
 
     #[test]

@@ -7,23 +7,26 @@ use crate::activation::{relu_backward, relu_into};
 use crate::dense::Dense;
 use crate::loss::{softmax_in_place, BatchLoss, BatchMeta};
 use crate::optimizer::Optimizer;
-use crate::spectral::{self, SpectralConfig};
+use crate::spectral::{self, PowerScratch, SpectralConfig};
 
 /// Reusable forward/backward buffers for an [`Mlp`].
 ///
 /// One workspace amortizes every per-layer allocation of the hot path:
 /// `acts`/`pres` cache hidden activations and pre-activations (needed for
-/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards. Buffers
-/// grow to the high-water batch size on first use and are reshaped in place
-/// afterwards ([`Matrix::reset_to_zeros`]), so steady-state training and
-/// scoring perform zero heap allocations per call. A workspace is tied to
-/// nothing — the same one can serve different models and batch shapes.
+/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards, and
+/// `power` holds the spectral power-iteration work vectors. Buffers grow to
+/// the high-water shape on first use and are reshaped in place afterwards
+/// ([`Matrix::reset_to_zeros`]), so steady-state training and scoring
+/// perform zero heap allocations per call beyond the loss gradient. A
+/// workspace is tied to nothing — the same one can serve different models
+/// and batch shapes.
 #[derive(Debug, Clone, Default)]
 pub struct MlpWorkspace {
     acts: Vec<Matrix>,
     pres: Vec<Matrix>,
     delta: Matrix,
     dx: Matrix,
+    power: PowerScratch,
 }
 
 impl MlpWorkspace {
@@ -269,16 +272,16 @@ impl Mlp {
         let (loss_value, grad_logits) = loss.loss_and_grad(logits, meta);
         // Backward pass: `delta`/`dx` ping-pong so each layer writes its
         // input gradient into the buffer the previous iteration vacated.
+        // Layer 0's input gradient is never read, so it is not computed.
         ws.delta = grad_logits;
-        {
-            let MlpWorkspace { acts, pres, delta, dx } = &mut *ws;
-            for i in (0..n_layers).rev() {
-                let input: &Matrix = if i == 0 { x } else { &acts[i - 1] };
-                self.layers[i].backward_into(input, delta, dx);
+        let MlpWorkspace { acts, pres, delta, dx, power } = &mut *ws;
+        for i in (0..n_layers).rev() {
+            let input: &Matrix = if i == 0 { x } else { &acts[i - 1] };
+            self.layers[i].param_grads(input, delta);
+            if i > 0 {
+                self.layers[i].input_grad_into(delta, dx);
                 std::mem::swap(delta, dx);
-                if i > 0 {
-                    relu_backward(delta, &pres[i - 1]);
-                }
+                relu_backward(delta, &pres[i - 1]);
             }
         }
         // Optimizer updates, then spectral cap enforcement.
@@ -289,7 +292,7 @@ impl Mlp {
         }
         if let Some(cfg) = self.spectral {
             for layer in &mut self.layers {
-                spectral::enforce(layer, &cfg);
+                spectral::enforce(layer, &cfg, power);
             }
         }
         loss_value
@@ -553,6 +556,59 @@ mod tests {
                     "layer {li} w[{idx}]: numeric {numeric} analytic {analytic}"
                 );
             }
+        }
+    }
+
+    /// One step the long way: every layer through [`Dense::backward`],
+    /// input gradient of layer 0 included, then the same optimizer and
+    /// spectral updates as [`Mlp::train_step_with`].
+    fn step_computing_every_input_gradient(
+        mlp: &mut Mlp,
+        x: &Matrix,
+        meta: &BatchMeta<'_>,
+        opt: &mut Sgd,
+    ) {
+        let n_layers = mlp.layers.len();
+        let mut ws = MlpWorkspace::new();
+        mlp.forward_with(x, &mut ws);
+        let (_, mut delta) = CrossEntropyLoss.loss_and_grad(&ws.pres[n_layers - 1], meta);
+        for i in (0..n_layers).rev() {
+            let input = if i == 0 { x } else { &ws.acts[i - 1] };
+            delta = mlp.layers[i].backward(input, &delta);
+            if i > 0 {
+                relu_backward(&mut delta, &ws.pres[i - 1]);
+            }
+        }
+        assert_eq!(delta.shape(), x.shape(), "layer 0's dX was computed");
+        for (i, layer) in mlp.layers.iter_mut().enumerate() {
+            for (k, (params, grads)) in layer.params_and_grads_mut().into_iter().enumerate() {
+                opt.step(2 * i + k, params, grads);
+            }
+        }
+        let cfg = mlp.spectral.expect("spectral normalization on");
+        for layer in &mut mlp.layers {
+            spectral::enforce(layer, &cfg, &mut PowerScratch::default());
+        }
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_leaves_parameters_bit_identical() {
+        let (x, y, s) = blobs(32, 17);
+        let meta = BatchMeta { labels: &y, sensitive: &s };
+        let mut fast = Mlp::new(&MlpConfig::new(vec![2, 16, 8, 2], 3));
+        let mut slow = fast.clone();
+        let mut opt_fast = Sgd::new(0.1).with_momentum(0.9);
+        let mut opt_slow = opt_fast.clone();
+        let mut ws = MlpWorkspace::new();
+        for _ in 0..4 {
+            fast.train_step_with(&x, &meta, &CrossEntropyLoss, &mut opt_fast, &mut ws);
+            step_computing_every_input_gradient(&mut slow, &x, &meta, &mut opt_slow);
+        }
+        for (a, b) in fast.layers.iter().zip(&slow.layers) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.weights().as_slice()), bits(b.weights().as_slice()));
+            assert_eq!(bits(a.bias()), bits(b.bias()));
+            assert_eq!(bits(&a.power_u), bits(&b.power_u));
         }
     }
 

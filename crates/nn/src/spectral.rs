@@ -38,37 +38,68 @@ impl Default for SpectralConfig {
 /// # Panics
 /// Panics if `u.len() != w.rows()`.
 pub fn estimate_sigma(w: &Matrix, u: &mut [f64], iterations: u32) -> f64 {
+    estimate_sigma_with(w, u, iterations, &mut PowerScratch::default())
+}
+
+/// Grow-only work vectors for power iteration (`v` and `W·v`), reused
+/// across layers and steps so training estimates σ without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct PowerScratch {
+    v: Vec<f64>,
+    wv: Vec<f64>,
+}
+
+/// [`estimate_sigma`] with caller-provided work vectors: the same
+/// operations in the same order, without allocating once `scratch` has
+/// grown to `w`'s shape.
+///
+/// # Panics
+/// Panics if `u.len() != w.rows()`.
+pub fn estimate_sigma_with(
+    w: &Matrix,
+    u: &mut [f64],
+    iterations: u32,
+    scratch: &mut PowerScratch,
+) -> f64 {
     assert_eq!(u.len(), w.rows(), "power iteration u must match fan_in");
-    let mut v = vec![0.0; w.cols()];
+    if scratch.v.len() < w.cols() {
+        scratch.v.resize(w.cols(), 0.0);
+    }
+    if scratch.wv.len() < w.rows() {
+        scratch.wv.resize(w.rows(), 0.0);
+    }
+    let v = &mut scratch.v[..w.cols()];
+    let wv = &mut scratch.wv[..w.rows()];
     for _ in 0..iterations.max(1) {
         // v ← normalize(Wᵀ u)
         // analyzer:allow(unwrap-in-lib): `u`/`v` sized to `w` at entry (asserted above)
-        v = w.tr_matvec(u).expect("shape checked");
-        let nv = vector::norm2(&v).max(f64::MIN_POSITIVE);
-        vector::scale(&mut v, 1.0 / nv);
+        w.tr_matvec_into(u, v).expect("shape checked");
+        let nv = vector::norm2(v).max(f64::MIN_POSITIVE);
+        vector::scale(v, 1.0 / nv);
         // u ← normalize(W v)
-        // analyzer:allow(unwrap-in-lib): `v` has `w.cols()` entries by construction
-        let new_u = w.matvec(&v).expect("shape checked");
-        let nu = vector::norm2(&new_u).max(f64::MIN_POSITIVE);
-        for (ui, &nui) in u.iter_mut().zip(&new_u) {
+        // analyzer:allow(unwrap-in-lib): `v`/`wv` sized to `w` at entry
+        w.matvec_into(v, wv).expect("shape checked");
+        let nu = vector::norm2(wv).max(f64::MIN_POSITIVE);
+        for (ui, &nui) in u.iter_mut().zip(wv.iter()) {
             *ui = nui / nu;
         }
     }
     // σ ≈ uᵀ W v.
-    // analyzer:allow(unwrap-in-lib): `v` has `w.cols()` entries by construction
-    let wv = w.matvec(&v).expect("shape checked");
-    vector::dot(u, &wv)
+    // analyzer:allow(unwrap-in-lib): `v`/`wv` sized to `w` at entry
+    w.matvec_into(v, wv).expect("shape checked");
+    vector::dot(u, wv)
 }
 
-/// Enforces the spectral cap on a dense layer in place. Returns the sigma
-/// estimate before rescaling (diagnostics).
-pub fn enforce(layer: &mut Dense, cfg: &SpectralConfig) -> f64 {
+/// Enforces the spectral cap on a dense layer in place, with `scratch` as
+/// the power-iteration work vectors. Returns the sigma estimate before
+/// rescaling (diagnostics).
+pub fn enforce(layer: &mut Dense, cfg: &SpectralConfig, scratch: &mut PowerScratch) -> f64 {
     faction_telemetry::counter_add(
         "nn.spectral.power_iterations",
         u64::from(cfg.power_iterations),
     );
     let mut u = std::mem::take(&mut layer.power_u);
-    let sigma = estimate_sigma(&layer.w, &mut u, cfg.power_iterations);
+    let sigma = estimate_sigma_with(&layer.w, &mut u, cfg.power_iterations, scratch);
     layer.power_u = u;
     if sigma > cfg.cap && sigma.is_finite() && sigma > 0.0 {
         layer.w.scale(cfg.cap / sigma);
@@ -115,7 +146,7 @@ mod tests {
         let cfg = SpectralConfig { cap: 1.0, power_iterations: 3 };
         // A few enforcement rounds emulate training-time repeated calls.
         for _ in 0..30 {
-            enforce(&mut layer, &cfg);
+            enforce(&mut layer, &cfg, &mut PowerScratch::default());
         }
         let sigma = top_singular_value_exact(&layer.w);
         assert!(sigma <= 1.05, "sigma after cap {sigma}");
@@ -127,7 +158,8 @@ mod tests {
         let mut layer = Dense::new(&mut rng, 5, 5, true);
         layer.w.scale(1e-3);
         let before = layer.w.clone();
-        enforce(&mut layer, &SpectralConfig { cap: 3.0, power_iterations: 2 });
+        let cfg = SpectralConfig { cap: 3.0, power_iterations: 2 };
+        enforce(&mut layer, &cfg, &mut PowerScratch::default());
         assert_eq!(layer.w, before);
     }
 
@@ -136,9 +168,27 @@ mod tests {
         let mut rng = SeedRng::new(19);
         let mut layer = Dense::new(&mut rng, 4, 4, true);
         let u_before = layer.power_u.clone();
-        enforce(&mut layer, &SpectralConfig::default());
+        enforce(&mut layer, &SpectralConfig::default(), &mut PowerScratch::default());
         assert_ne!(layer.power_u, u_before, "power-iteration state must advance");
         assert!((vector::norm2(&layer.power_u) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_one_bitwise() {
+        // One scratch serves a wide layer, then a narrower one: the grown
+        // buffers must not leak stale entries into the smaller estimate.
+        let mut rng = SeedRng::new(23);
+        let wide = Dense::new(&mut rng, 12, 9, true);
+        let narrow = Dense::new(&mut rng, 5, 3, true);
+        let mut scratch = PowerScratch::default();
+        for layer in [&wide, &narrow, &wide] {
+            let mut u_fresh = layer.power_u.clone();
+            let mut u_reused = layer.power_u.clone();
+            let fresh = estimate_sigma(&layer.w, &mut u_fresh, 3);
+            let reused = estimate_sigma_with(&layer.w, &mut u_reused, 3, &mut scratch);
+            assert_eq!(fresh.to_bits(), reused.to_bits());
+            assert_eq!(u_fresh, u_reused);
+        }
     }
 
     #[test]

@@ -100,9 +100,10 @@ run_stage "chaos-determinism (adversarial schedules, byte-identical)" \
     cargo test -q -p faction-engine --release --test chaos_determinism
 
 # Kernel-backend gate: the dispatch facade's equivalence contract. The
-# linalg property suite drives Scalar/Simd GEMM over random and degenerate
-# shapes and pins the transposed products and matvec against an explicit
-# transpose, all bit-identical to the i-k-j reference; the engine suite
+# linalg property suite drives Scalar/Simd GEMM and the transposed products
+# over random and degenerate shapes, bit-identical to their references (the
+# i-k-j loop for GEMM and tn, the per-element dot fold for nt and matvec,
+# signed zeros included); the engine suite
 # proves an 8-strategy lineup renders canonically identical RunRecords on
 # both backends (DESIGN.md §14).
 run_stage "kernel-equivalence (scalar == simd, bitwise)" \
