@@ -11,9 +11,10 @@
 //! the pool at every AL iteration, so they are reconstructible and
 //! excluding them keeps checkpoints small and forward-compatible.
 //!
-//! Loading sniffs the wire magic, so checkpoints written by older
-//! JSON-era builds still restore; JSON stays available as an explicit
-//! debug export ([`Checkpoint::save_debug_json`]).
+//! Loading reads the wire container and nothing else: any other file,
+//! a JSON checkpoint from an older build included, is
+//! [`CheckpointError::Corrupt`]. `faction_cli inspect PATH` renders any
+//! checkpoint as JSON after the fact.
 
 use std::fs;
 use std::path::Path;
@@ -83,12 +84,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-impl From<serde_json::Error> for CheckpointError {
-    fn from(e: serde_json::Error) -> Self {
-        CheckpointError::Serde(e)
-    }
-}
-
 /// Current checkpoint format version.
 pub const CURRENT_VERSION: u32 = 1;
 
@@ -99,7 +94,7 @@ pub const CURRENT_VERSION: u32 = 1;
 /// `fs::rename` within a directory is atomic on POSIX, so a job killed at
 /// any instant leaves either the old complete file or the new complete
 /// file — never a torn one.
-pub(crate) fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), CheckpointError> {
+fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), CheckpointError> {
     use std::io::Write;
     let mut file_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     file_name.push(format!(".{}.tmp", std::process::id()));
@@ -143,22 +138,6 @@ fn fsync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Reads and parses a checkpoint-family JSON file, mapping parse failures
-/// to [`CheckpointError::Corrupt`] so the message names the file. Binary
-/// garbage (invalid UTF-8) is corruption too — the operator should see
-/// "delete this file", not a bare I/O error.
-pub(crate) fn read_json_file<T: serde::Deserialize>(path: &Path) -> Result<T, CheckpointError> {
-    let bytes = fs::read(path)?;
-    let text = String::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail: format!("not valid UTF-8 ({e}) and not a wire container"),
-    })?;
-    serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    })
-}
-
 /// Maps a wire-format failure on `path` into checkpoint terms: a
 /// future container version keeps its "upgrade this build" meaning, and
 /// everything else is file corruption naming the path.
@@ -180,21 +159,15 @@ pub(crate) fn save_wire<T: serde::Serialize>(
     atomic_write(path, &bytes)
 }
 
-/// Loads a checkpoint-family artifact, sniffing the format: files starting
-/// with the wire magic decode strictly as a single-record container of
-/// `kind`; anything else takes the legacy JSON path (so pre-wire
-/// checkpoints and `--debug-export` files both restore).
-pub(crate) fn load_wire_or_json<T: serde::Deserialize>(
+/// Strictly reads a single-record wire container of `kind` from `path`.
+/// Anything else — a JSON file, garbage, a torn or bit-flipped container —
+/// is [`CheckpointError::Corrupt`] naming the path.
+pub(crate) fn load_wire<T: serde::Deserialize>(
     path: &Path,
     kind: PayloadKind,
 ) -> Result<T, CheckpointError> {
     let bytes = fs::read(path)?;
-    if bytes.starts_with(&faction_wire::MAGIC) {
-        return faction_wire::from_wire(kind, &bytes).map_err(|e| wire_error(path, e));
-    }
-    // Legacy / debug-export JSON: cold path, so the extra read inside the
-    // shared JSON reader is irrelevant next to the parse.
-    read_json_file(path)
+    faction_wire::from_wire(kind, &bytes).map_err(|e| wire_error(path, e))
 }
 
 impl Checkpoint {
@@ -208,27 +181,6 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to a JSON string.
-    ///
-    /// # Errors
-    /// Returns [`CheckpointError::Serde`] on serialization failure.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        Ok(serde_json::to_string(self)?)
-    }
-
-    /// Deserializes from a JSON string, rejecting newer format versions.
-    ///
-    /// # Errors
-    /// Returns [`CheckpointError::Serde`] for malformed input and
-    /// [`CheckpointError::UnsupportedVersion`] for newer formats.
-    pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        let checkpoint: Checkpoint = serde_json::from_str(json)?;
-        if checkpoint.version > CURRENT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(checkpoint.version));
-        }
-        Ok(checkpoint)
-    }
-
     /// Writes the checkpoint to `path` crash-safely in the wire binary
     /// format: staged to a fsynced `.tmp` sibling, atomically renamed into
     /// place, then the parent directory is fsynced, so a process killed at
@@ -240,25 +192,15 @@ impl Checkpoint {
         save_wire(path, PayloadKind::Checkpoint, self)
     }
 
-    /// Writes a human-readable pretty-JSON export of the checkpoint, for
-    /// `--debug-export` and diffing. The load path accepts it too.
-    ///
-    /// # Errors
-    /// Propagates filesystem and serialization failures.
-    pub fn save_debug_json(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic_write(path, serde_json::to_string_pretty(self)?.as_bytes())
-    }
-
-    /// Reads a checkpoint from `path`, accepting both the wire binary
-    /// format (by magic sniff) and legacy/debug JSON. A file that exists
-    /// but does not parse — e.g. truncated by a crash predating crash-safe
-    /// saves, or bit-flipped on disk — is rejected as
-    /// [`CheckpointError::Corrupt`] naming the path.
+    /// Reads a checkpoint from `path`. A file that exists but is not an
+    /// intact wire checkpoint — truncated, bit-flipped, or not a wire
+    /// container at all — is rejected as [`CheckpointError::Corrupt`]
+    /// naming the path.
     ///
     /// # Errors
     /// Propagates filesystem and format failures.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let checkpoint: Checkpoint = load_wire_or_json(path, PayloadKind::Checkpoint)?;
+        let checkpoint: Checkpoint = load_wire(path, PayloadKind::Checkpoint)?;
         if checkpoint.version > CURRENT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(checkpoint.version));
         }
@@ -297,23 +239,14 @@ impl RunCheckpoint {
         save_wire(path, PayloadKind::RunCheckpoint, self)
     }
 
-    /// Writes a human-readable pretty-JSON export, for `--debug-export`.
-    ///
-    /// # Errors
-    /// Propagates filesystem and serialization failures.
-    pub fn save_debug_json(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic_write(path, serde_json::to_string_pretty(self)?.as_bytes())
-    }
-
-    /// Reads a run checkpoint (wire binary or legacy JSON, by magic
-    /// sniff), rejecting torn files and newer versions.
+    /// Reads a run checkpoint, rejecting torn files and newer versions.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] for missing files, [`CheckpointError::Corrupt`]
     /// for unparseable ones, [`CheckpointError::UnsupportedVersion`] for
     /// newer formats.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let ckpt: RunCheckpoint = load_wire_or_json(path, PayloadKind::RunCheckpoint)?;
+        let ckpt: RunCheckpoint = load_wire(path, PayloadKind::RunCheckpoint)?;
         if ckpt.version > CURRENT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(ckpt.version));
         }
@@ -349,11 +282,17 @@ mod tests {
         (mlp, pool)
     }
 
+    /// In-memory wire round trip, the bytes [`Checkpoint::save`] writes.
+    fn wire_roundtrip(checkpoint: &Checkpoint) -> Checkpoint {
+        let bytes = faction_wire::to_wire(PayloadKind::Checkpoint, checkpoint).unwrap();
+        faction_wire::from_wire(PayloadKind::Checkpoint, &bytes).unwrap()
+    }
+
     #[test]
-    fn json_roundtrip_preserves_predictions() {
+    fn wire_roundtrip_preserves_predictions() {
         let (mlp, pool) = trained_state();
         let checkpoint = Checkpoint::capture(&mlp, &pool, 7);
-        let restored = Checkpoint::from_json(&checkpoint.to_json().unwrap()).unwrap();
+        let restored = wire_roundtrip(&checkpoint);
         assert_eq!(restored.next_task, 7);
         assert_eq!(restored.pool.len(), pool.len());
         let probe = Matrix::from_rows(&[vec![1.0, 0.3], vec![-1.2, 0.1]]).unwrap();
@@ -379,19 +318,27 @@ mod tests {
         let (mlp, pool) = trained_state();
         let mut checkpoint = Checkpoint::capture(&mlp, &pool, 0);
         checkpoint.version = CURRENT_VERSION + 5;
-        let json = serde_json::to_string(&checkpoint).unwrap();
+        let dir = std::env::temp_dir().join("faction_checkpoint_newer_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.bin");
+        checkpoint.save(&path).unwrap();
         assert!(matches!(
-            Checkpoint::from_json(&json),
-            Err(CheckpointError::UnsupportedVersion(_))
+            Checkpoint::load(&path),
+            Err(CheckpointError::UnsupportedVersion(v)) if v == CURRENT_VERSION + 5
         ));
+        fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn malformed_json_rejected() {
-        assert!(matches!(
-            Checkpoint::from_json("{not json"),
-            Err(CheckpointError::Serde(_))
-        ));
+    fn malformed_file_is_corrupt() {
+        let dir = std::env::temp_dir().join("faction_checkpoint_malformed_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.bin");
+        fs::write(&path, "{not json, not a wire container either").unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
+        assert!(err.to_string().contains("not a faction-wire container"), "{err}");
+        fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -420,29 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn valid_json_prefix_with_trailing_garbage_is_rejected() {
-        // The nastier corruption shape: the file *starts* with a complete,
-        // parseable checkpoint and then carries trailing bytes (interrupted
-        // rewrite-in-place, concatenated writes). A parser that stops at
-        // the first complete value would silently resume from it; the
-        // loader must reject the whole file as corrupt instead. Exercises
-        // the legacy JSON path the magic sniff falls back to.
-        let (mlp, pool) = trained_state();
-        let dir = std::env::temp_dir().join("faction_checkpoint_trailing_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let full = Checkpoint::capture(&mlp, &pool, 3).to_json().unwrap();
-        fs::write(&path, format!("{full}{{\"version\":1}}")).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
-        assert!(err.to_string().contains("trailing"), "detail should say what failed: {err}");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn wire_file_with_trailing_garbage_is_rejected() {
-        // Same shape for the binary format: bytes after the single record
-        // mean the file is not what the writer produced — strict read, not
+        // The file *starts* with a complete, valid record and then carries
+        // trailing bytes (interrupted rewrite-in-place, concatenated
+        // writes): it is not what the writer produced — strict read, not
         // salvage, for single-artifact checkpoints.
         let (mlp, pool) = trained_state();
         let dir = std::env::temp_dir().join("faction_checkpoint_wire_trailing_test");
@@ -470,32 +398,27 @@ mod tests {
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
         assert!(err.to_string().contains("ckpt.json"), "message should name the file: {err}");
-        // The shared JSON reader (used by legacy paths) classifies the
-        // same bytes the same way.
-        let err = read_json_file::<Checkpoint>(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
         fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn legacy_json_checkpoint_still_loads() {
-        // Files written by JSON-era builds (no wire magic) must restore
-        // unchanged through the sniffing loader.
+    fn json_era_checkpoint_is_corrupt_not_io() {
+        // Builds before the wire format wrote checkpoints as JSON. Loading
+        // reads wire containers only, so such a file is a corrupt
+        // checkpoint naming the path — never an I/O error, never a
+        // silent resume.
         let (mlp, pool) = trained_state();
         let dir = std::env::temp_dir().join("faction_checkpoint_legacy_test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let checkpoint = Checkpoint::capture(&mlp, &pool, 11);
-        fs::write(&path, checkpoint.to_json().unwrap()).unwrap();
-        let restored = Checkpoint::load(&path).unwrap();
-        assert_eq!(restored.next_task, 11);
-        assert_eq!(restored.pool.len(), pool.len());
-        // And the explicit debug export loads too.
-        let pretty = dir.join("ckpt.debug.json");
-        checkpoint.save_debug_json(&pretty).unwrap();
-        assert_eq!(Checkpoint::load(&pretty).unwrap().next_task, 11);
+        fs::write(&path, serde_json::to_string_pretty(&checkpoint).unwrap()).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("ckpt.json"), "message should name the file: {msg}");
+        assert!(msg.contains("not a faction-wire container"), "message should say why: {msg}");
         fs::remove_file(&path).ok();
-        fs::remove_file(&pretty).ok();
     }
 
     #[test]
@@ -594,7 +517,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("faction_run_checkpoint_test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("NYSF-random-s5.run.json");
+        let path = dir.join("NYSF-random-s5.run.wire");
         RunCheckpoint::capture(&record).save(&path).unwrap();
         let restored = RunCheckpoint::load(&path).unwrap();
         assert_eq!(restored.version, CURRENT_VERSION);
@@ -613,7 +536,7 @@ mod tests {
         // Restore, then keep training — the resumed model must still learn.
         let (mlp, pool) = trained_state();
         let checkpoint = Checkpoint::capture(&mlp, &pool, 0);
-        let mut restored = Checkpoint::from_json(&checkpoint.to_json().unwrap()).unwrap();
+        let mut restored = wire_roundtrip(&checkpoint);
         let mut opt = Sgd::new(0.1);
         let mut rng = SeedRng::new(9);
         let losses = restored.model.fit(

@@ -11,13 +11,11 @@
 //! runtime decomposition of Fig. 5 / Table I.
 
 use faction_data::{Oracle, TaskStream};
-use faction_linalg::Matrix;
 use faction_nn::MlpConfig;
 use faction_telemetry::{self as telemetry, Clock};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ExperimentConfig;
-use crate::pool::OnlineModel;
 use crate::session::OnlineSession;
 use crate::strategies::Strategy;
 
@@ -233,23 +231,6 @@ pub fn run_experiment(
         total_seconds: run_start.elapsed().as_secs_f64(),
         kernel_backend: kernel_backend.as_str().to_string(),
     }
-}
-
-/// Convenience helper: evaluates a model on an arbitrary feature/label/
-/// sensitive triple (used by harnesses for held-out probes).
-pub fn evaluate_on(
-    model: &OnlineModel,
-    x: &Matrix,
-    labels: &[usize],
-    sensitives: &[i8],
-) -> (f64, f64, f64, f64) {
-    let preds = model.mlp().predict(x);
-    (
-        faction_fairness::accuracy(&preds, labels),
-        faction_fairness::ddp(&preds, sensitives),
-        faction_fairness::eod(&preds, labels, sensitives),
-        faction_fairness::mutual_information(&preds, sensitives),
-    )
 }
 
 #[cfg(test)]

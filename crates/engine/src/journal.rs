@@ -15,8 +15,9 @@
 //! Before this, events lived in memory until an end-of-batch render — a
 //! crash lost the whole journal, which is exactly when it matters most.
 //!
-//! JSON-lines rendering (one event object per line, then one summary
-//! object) remains as the `--debug-export` view. Event *order* in the
+//! The wire file is the journal's only on-disk form; `faction_cli inspect
+//! PATH` reads it after the fact and prints one JSON line per event, then
+//! the summary, through [`Journal::replay_bytes`]. Event *order* in the
 //! journal follows wall-clock completion and is therefore
 //! schedule-dependent; the journal is observability output and
 //! deliberately outside the engine's determinism contract (job *results*
@@ -56,7 +57,7 @@ pub struct JobEvent {
     pub detail: String,
 }
 
-/// Batch-level summary appended as the journal's final line.
+/// Batch-level summary appended as the journal's final record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JournalSummary {
     /// Jobs submitted (including resumed ones).
@@ -276,13 +277,6 @@ impl Journal {
         lock(&self.events).push(event);
     }
 
-    /// Appends an already-stamped event verbatim (used to splice a nested
-    /// batch's journal into its parent without re-stamping).
-    pub fn push_raw(&self, event: JobEvent) {
-        self.stream_record(RECORD_EVENT, &event.to_value());
-        lock(&self.events).push(event);
-    }
-
     /// Snapshot of the events recorded so far, in append order.
     pub fn events(&self) -> Vec<JobEvent> {
         lock(&self.events).clone()
@@ -314,29 +308,6 @@ impl Journal {
             metrics,
         }
     }
-
-    /// Renders the journal as JSON lines: one event per line, then the
-    /// summary object as the final line.
-    pub fn render_jsonl(&self, jobs: usize, stats: PoolStats) -> String {
-        self.render_jsonl_with_summary(&self.summarize(jobs, stats))
-    }
-
-    /// [`Self::render_jsonl`] against a prebuilt summary (so callers that
-    /// attach a metrics block render the same summary they return).
-    pub fn render_jsonl_with_summary(&self, summary: &JournalSummary) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            if let Ok(line) = serde_json::to_string(&event) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        if let Ok(line) = serde_json::to_string(summary) {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -344,17 +315,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_round_trip_through_jsonl() {
+    fn events_and_summary_reflect_recorded_transitions() {
         let journal = Journal::start();
         journal.record("NYSF-random-s0", "started", 1, 0, 0.0, "");
         journal.record("NYSF-random-s0", "finished", 1, 0, 0.25, "");
-        let rendered = journal.render_jsonl(1, PoolStats { workers: 2, queue_high_water: 1 });
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let first: JobEvent = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(first.kind, "started");
-        assert_eq!(first.job, "NYSF-random-s0");
-        let summary: JournalSummary = serde_json::from_str(lines[2]).unwrap();
+        let events = journal.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, "started");
+        assert_eq!(events[0].job, "NYSF-random-s0");
+        let summary = journal.summarize(1, PoolStats { workers: 2, queue_high_water: 1 });
         assert_eq!(summary.jobs, 1);
         assert_eq!(summary.finished, 1);
         assert_eq!(summary.workers, 2);

@@ -160,6 +160,16 @@ impl Scheduler {
     /// Pushes a requeued job (a retry) onto the global injector and wakes a
     /// parked worker. `outstanding` is unchanged: the job was never retired.
     fn requeue(&self, idx: usize) {
+        // Count the job as queued *before* it becomes visible: another
+        // worker may pop it the moment it is pushed, and its `note_popped`
+        // must not run ahead of this increment. The other order can
+        // underflow `queued`: with overflow checks (the dev and test
+        // profiles) that panics the popping worker, and the others then
+        // spin forever on the job it took.
+        let mut p = lock(&self.park);
+        p.queued += 1;
+        p.high_water = p.high_water.max(p.queued);
+        drop(p);
         let depth = {
             let mut inj = lock(&self.injector);
             inj.push_back(idx);
@@ -167,10 +177,6 @@ impl Scheduler {
         };
         self.recorder.counter_add("engine.pool.requeues", 1);
         self.recorder.gauge_set("engine.pool.injector_depth", depth as u64);
-        let mut p = lock(&self.park);
-        p.queued += 1;
-        p.high_water = p.high_water.max(p.queued);
-        drop(p);
         self.cv.notify_one();
     }
 

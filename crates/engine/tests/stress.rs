@@ -1,8 +1,9 @@
 //! Stress: a 200-job batch with deterministic injected panics, plus a grid
-//! resume over a corrupted checkpoint directory. Every failure-path ledger —
+//! resume over a damaged checkpoint directory. Every failure-path ledger —
 //! the event journal, the telemetry counters, the failure list, and the
 //! attempt bookkeeping — must tell the same story.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -110,70 +111,115 @@ fn tiny_job(dataset: Dataset, strategy: &str, seed: u64) -> ExperimentJob {
     job
 }
 
-#[test]
-fn grid_resume_over_corrupt_checkpoint_reconciles_all_ledgers() {
-    let dir = std::env::temp_dir().join(format!("faction_engine_stress_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// One way a finished job's checkpoint can be damaged between two runs of
+/// the same grid, and how many `checkpoint-corrupt` events the re-run must
+/// journal for it.
+struct Damage {
+    name: &'static str,
+    /// Damages the checkpoint at the given `<key>.run.wire` path.
+    apply: fn(&Path),
+    corrupt_events: usize,
+}
 
+const DAMAGE: [Damage; 2] = [
+    // The nasty way: keep the fully valid wire record and append garbage,
+    // as an interrupted rewrite-in-place would. Strict single-record reads
+    // must reject trailing bytes.
+    Damage { name: "garbage tail", apply: append_garbage, corrupt_events: 1 },
+    // Only a `<key>.run.json` is left, as builds before the wire format
+    // wrote them. Nothing reads JSON checkpoints, so the job re-runs just
+    // as on a first run.
+    Damage { name: "JSON-era checkpoint only", apply: json_era_only, corrupt_events: 0 },
+];
+
+fn append_garbage(wire: &Path) {
+    let mut valid = std::fs::read(wire).unwrap();
+    valid.extend_from_slice(b"garbage tail");
+    std::fs::write(wire, &valid).unwrap();
+}
+
+fn json_era_only(wire: &Path) {
+    let ckpt = faction_core::checkpoint::RunCheckpoint::load(wire).unwrap();
+    std::fs::write(wire.with_extension("json"), serde_json::to_string_pretty(&ckpt).unwrap())
+        .unwrap();
+    std::fs::remove_file(wire).unwrap();
+}
+
+#[test]
+fn grid_resume_over_damaged_checkpoint_reconciles_all_ledgers() {
     let grid = vec![
         tiny_job(Dataset::Nysf, "random", 0),
         tiny_job(Dataset::Nysf, "entropy", 0),
         tiny_job(Dataset::Rcmnist, "random", 1),
     ];
-    let config = |recorder: Handle| EngineConfig {
-        workers: 2,
-        checkpoint_dir: Some(dir.clone()),
-        recorder,
-        ..EngineConfig::default()
-    };
+    for damage in DAMAGE {
+        let name = damage.name;
+        let dir =
+            std::env::temp_dir().join(format!("faction_engine_stress_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = |recorder: Handle| EngineConfig {
+            workers: 2,
+            checkpoint_dir: Some(dir.clone()),
+            recorder,
+            ..EngineConfig::default()
+        };
 
-    let first = Engine::new(config(Handle::noop())).run_grid(&grid);
-    assert!(first.failures.is_empty(), "{:?}", first.failures);
+        let first = Engine::new(config(Handle::noop())).run_grid(&grid);
+        assert!(first.failures.is_empty(), "{name}: {:?}", first.failures);
 
-    // Corrupt one checkpoint the nasty way: keep the fully valid wire
-    // record and append garbage, as an interrupted rewrite-in-place would.
-    // Strict single-record reads must reject trailing bytes.
-    let victim = dir.join(format!("{}.run.wire", grid[1].key()));
-    let mut valid = std::fs::read(&victim).unwrap();
-    valid.extend_from_slice(b"garbage tail");
-    std::fs::write(&victim, &valid).unwrap();
+        (damage.apply)(&dir.join(format!("{}.run.wire", grid[1].key())));
 
-    let registry = Arc::new(Registry::new());
-    let second = Engine::new(config(Handle::from(registry.clone()))).run_grid(&grid);
-    assert!(second.failures.is_empty(), "{:?}", second.failures);
+        let registry = Arc::new(Registry::new());
+        let second = Engine::new(config(Handle::from(registry.clone()))).run_grid(&grid);
+        assert!(second.failures.is_empty(), "{name}: {:?}", second.failures);
 
-    // Checkpoint state: two jobs resumed, the corrupted one re-ran.
-    assert_eq!(second.resumed, grid.len() - 1);
-    assert_eq!(second.summary.resumed, grid.len() - 1);
-    assert_eq!(second.summary.finished, grid.len());
+        // Checkpoint state: two jobs resumed, the damaged one re-ran, and
+        // the records are byte-identical to the fresh run.
+        assert_eq!(second.resumed, grid.len() - 1, "{name}");
+        assert_eq!(second.summary.resumed, grid.len() - 1, "{name}");
+        assert_eq!(second.summary.finished, grid.len(), "{name}");
+        assert_eq!(
+            first.canonical_json().unwrap(),
+            second.canonical_json().unwrap(),
+            "{name}: the re-run must not change results"
+        );
 
-    // Journal: exactly one corruption event, naming the victim job.
-    let corrupt_events: Vec<JobEvent> = second
-        .journal_jsonl
-        .lines()
-        .filter_map(|l| serde_json::from_str::<JobEvent>(l).ok())
-        .filter(|e| e.kind == "checkpoint-corrupt")
-        .collect();
-    assert_eq!(corrupt_events.len(), 1);
-    assert_eq!(corrupt_events[0].job, grid[1].key());
-    assert!(corrupt_events[0].detail.contains("corrupt"), "{}", corrupt_events[0].detail);
+        // Journal: one corruption event per unreadable checkpoint, naming
+        // the victim job.
+        let corrupt_events: Vec<&JobEvent> =
+            second.events.iter().filter(|e| e.kind == "checkpoint-corrupt").collect();
+        assert_eq!(corrupt_events.len(), damage.corrupt_events, "{name}");
+        for event in corrupt_events {
+            assert_eq!(event.job, grid[1].key(), "{name}");
+            assert!(event.detail.contains("corrupt"), "{name}: {}", event.detail);
+        }
 
-    // Telemetry agrees with both.
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter("engine.checkpoint.salvaged"), Some((grid.len() - 1) as u64));
-    assert_eq!(snapshot.counter("engine.checkpoint.corrupt"), Some(1));
-    assert_eq!(snapshot.counter("engine.pool.jobs_completed"), Some(1));
+        // Telemetry agrees with both.
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counter("engine.checkpoint.salvaged"),
+            Some((grid.len() - 1) as u64),
+            "{name}"
+        );
+        assert_eq!(
+            snapshot.counter("engine.checkpoint.corrupt").unwrap_or(0),
+            damage.corrupt_events as u64,
+            "{name}"
+        );
+        assert_eq!(snapshot.counter("engine.pool.jobs_completed"), Some(1), "{name}");
 
-    // And the re-run healed the checkpoint: a third run resumes everything.
-    let third = Engine::new(config(Handle::noop())).run_grid(&grid);
-    assert_eq!(third.resumed, grid.len());
-    assert_eq!(
-        first.canonical_json().unwrap(),
-        third.canonical_json().unwrap(),
-        "corruption recovery must not change results"
-    );
+        // And the re-run healed the checkpoint: a third run resumes
+        // everything.
+        let third = Engine::new(config(Handle::noop())).run_grid(&grid);
+        assert_eq!(third.resumed, grid.len(), "{name}");
+        assert_eq!(
+            first.canonical_json().unwrap(),
+            third.canonical_json().unwrap(),
+            "{name}: recovery must not change results"
+        );
 
-    std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -204,7 +250,7 @@ fn killed_batch_journal_replays_valid_prefix_at_every_truncation() {
     let summary = clean.summary.expect("finished batch persists its summary");
     assert_eq!(summary.jobs, grid.len());
     assert_eq!(summary.finished, grid.len());
-    assert_eq!(clean.events.len(), outcome.journal_jsonl.lines().count() - 1);
+    assert_eq!(clean.events.len(), outcome.events.len());
     let expect_kinds: Vec<&str> = clean.events.iter().map(|e| e.kind.as_str()).collect();
     assert!(expect_kinds.contains(&"started") && expect_kinds.contains(&"finished"));
 
@@ -232,45 +278,6 @@ fn killed_batch_journal_replays_valid_prefix_at_every_truncation() {
     // Every completed-event prefix is reachable: each event append was an
     // individually flushed record.
     assert_eq!(prefix_lengths, (0..=clean.events.len()).collect());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn grid_resumes_legacy_json_checkpoints() {
-    // Checkpoints written by JSON-era builds (`<key>.run.json`, no wire
-    // file) must still short-circuit the job on resume.
-    let dir = std::env::temp_dir().join(format!("faction_engine_legacy_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let job = tiny_job(Dataset::Nysf, "random", 0);
-    let config = |recorder: Handle| EngineConfig {
-        workers: 1,
-        checkpoint_dir: Some(dir.clone()),
-        recorder,
-        ..EngineConfig::default()
-    };
-    let first = Engine::new(config(Handle::noop())).run_grid(std::slice::from_ref(&job));
-    assert!(first.failures.is_empty(), "{:?}", first.failures);
-
-    // Rewrite the checkpoint as a JSON-era build would have left it.
-    let wire_path = dir.join(format!("{}.run.wire", job.key()));
-    let json_path = dir.join(format!("{}.run.json", job.key()));
-    let ckpt = faction_core::checkpoint::RunCheckpoint::load(&wire_path).unwrap();
-    ckpt.save_debug_json(&json_path).unwrap();
-    std::fs::remove_file(&wire_path).unwrap();
-
-    let registry = Arc::new(Registry::new());
-    let second = Engine::new(config(Handle::from(registry.clone()))).run_grid(std::slice::from_ref(&job));
-    assert!(second.failures.is_empty(), "{:?}", second.failures);
-    assert_eq!(second.resumed, 1, "legacy JSON checkpoint must resume");
-    assert_eq!(registry.snapshot().counter("engine.checkpoint.salvaged"), Some(1));
-    assert_eq!(
-        first.canonical_json().unwrap(),
-        second.canonical_json().unwrap(),
-        "legacy resume must return the same records"
-    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -310,12 +317,8 @@ fn grid_resume_names_both_jobs_on_checkpoint_identity_mismatch() {
     assert_eq!(outcome.records.len(), 1);
     assert_eq!(outcome.records[0].as_ref().unwrap().dataset, "NYSF", "the claiming job re-ran");
 
-    let mismatch_events: Vec<JobEvent> = outcome
-        .journal_jsonl
-        .lines()
-        .filter_map(|l| serde_json::from_str::<JobEvent>(l).ok())
-        .filter(|e| e.kind == "checkpoint-mismatch")
-        .collect();
+    let mismatch_events: Vec<&JobEvent> =
+        outcome.events.iter().filter(|e| e.kind == "checkpoint-mismatch").collect();
     assert_eq!(mismatch_events.len(), 1);
     assert_eq!(mismatch_events[0].job, claiming.key());
     let detail = &mismatch_events[0].detail;

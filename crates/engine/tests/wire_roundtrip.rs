@@ -1,8 +1,8 @@
 //! The blocking `wire-roundtrip` gate (check.sh): binary persistence must
 //! be *lossless* — a value round-tripped through the wire container
-//! renders byte-identically to its JSON debug export — and the corruption
-//! matrix (torn tail, bit flip, truncation at every byte, future version)
-//! must behave exactly as DESIGN.md §15 specifies, for the real payload
+//! renders byte-identically to its JSON render, which is what
+//! `faction_cli inspect` prints — and the corruption matrix (torn tail, bit
+//! flip, truncation at every byte, future version) must behave exactly as DESIGN.md §15 specifies, for the real payload
 //! types the engine persists: `Checkpoint`, `RunCheckpoint`, `JobEvent`.
 //!
 //! Equivalence is checked on the JSON *render* of both sides: the wire
@@ -69,7 +69,7 @@ fn run_record_fixture(seed: u64, tasks: usize) -> RunRecord {
 
 proptest! {
     #[test]
-    fn checkpoint_binary_roundtrip_matches_json_debug_export(
+    fn checkpoint_binary_roundtrip_matches_json_render(
         seed in 0u64..1000,
         rows in 1usize..24,
         next_task in 0usize..50,
@@ -77,8 +77,8 @@ proptest! {
         let original = checkpoint_fixture(seed, rows, next_task);
         let bytes = to_wire(PayloadKind::Checkpoint, &original).unwrap();
         let decoded: Checkpoint = from_wire(PayloadKind::Checkpoint, &bytes).unwrap();
-        // Compact render (the legacy on-disk format) and pretty render
-        // (the --debug-export format) must both be byte-identical.
+        // Compact render (what `inspect` prints) and pretty render must
+        // both be byte-identical.
         prop_assert_eq!(
             serde_json::to_string(&original).unwrap(),
             serde_json::to_string(&decoded).unwrap()
@@ -90,7 +90,7 @@ proptest! {
     }
 
     #[test]
-    fn run_checkpoint_binary_roundtrip_matches_json_debug_export(
+    fn run_checkpoint_binary_roundtrip_matches_json_render(
         seed in 0u64..10_000,
         tasks in 0usize..12,
     ) {
@@ -144,7 +144,7 @@ proptest! {
 #[test]
 fn non_finite_floats_render_identically_on_both_routes() {
     // NaN/Inf cannot appear in JSON; both the JSON writer and the wire
-    // debug-export comparison rely on the shared null convention. The
+    // round-trip comparison rely on the shared null convention. The
     // binary side must not diverge from it after a round trip.
     let mut record = run_record_fixture(3, 2);
     record.total_seconds = f64::NAN;

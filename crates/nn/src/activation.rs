@@ -6,20 +6,8 @@
 
 use faction_linalg::Matrix;
 
-/// Element-wise ReLU into a new matrix.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    out
-}
-
 /// Element-wise ReLU into a caller-provided buffer (reshaped to match `x`),
-/// the allocation-free sibling of [`relu`] used by the forward workspaces.
-/// Bit-identical to [`relu`] (same copy-then-clamp element operation).
+/// used by the forward workspaces.
 pub fn relu_into(x: &Matrix, out: &mut Matrix) {
     out.reset_to_zeros(x.rows(), x.cols());
     for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
@@ -51,7 +39,9 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]).unwrap();
-        let y = relu(&x);
+        let mut y = Matrix::zeros(3, 3);
+        relu_into(&x, &mut y);
+        assert_eq!(y.shape(), (1, 4));
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 

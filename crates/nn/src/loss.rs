@@ -85,31 +85,6 @@ pub fn entropy_per_row(probs: &Matrix) -> Vec<f64> {
         .collect()
 }
 
-/// Margin (difference of top-two probabilities) per row; small margin means
-/// high ambiguity. Used by margin-based baselines.
-pub fn margin_per_row(probs: &Matrix) -> Vec<f64> {
-    probs
-        .iter_rows()
-        .map(|row| {
-            let mut top = f64::NEG_INFINITY;
-            let mut second = f64::NEG_INFINITY;
-            for &p in row {
-                if p > top {
-                    second = top;
-                    top = p;
-                } else if p > second {
-                    second = p;
-                }
-            }
-            if second == f64::NEG_INFINITY {
-                top
-            } else {
-                top - second
-            }
-        })
-        .collect()
-}
-
 /// Plain mean cross-entropy over the batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrossEntropyLoss;
@@ -190,15 +165,6 @@ mod tests {
         let h = entropy_per_row(&p);
         assert!(close(h[0], 2f64.ln()));
         assert!(close(h[1], 0.0));
-    }
-
-    #[test]
-    fn margin_distinguishes_confidence() {
-        let p = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.55, 0.45]]).unwrap();
-        let m = margin_per_row(&p);
-        assert!(close(m[0], 0.8));
-        assert!(close(m[1], 0.1 + 1e-17) || (m[1] - 0.1).abs() < 1e-9);
-        assert!(m[0] > m[1]);
     }
 
     #[test]

@@ -33,6 +33,14 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
+    /// Every kind, in code order.
+    const ALL: [PayloadKind; 4] = [
+        PayloadKind::Checkpoint,
+        PayloadKind::RunCheckpoint,
+        PayloadKind::Journal,
+        PayloadKind::SessionSnapshot,
+    ];
+
     /// The u16 stored in the header.
     pub fn code(self) -> u16 {
         match self {
@@ -42,6 +50,21 @@ impl PayloadKind {
             PayloadKind::SessionSnapshot => 4,
         }
     }
+
+    /// The kind a header code names; `None` for a code this build does
+    /// not know.
+    pub fn from_code(code: u16) -> Option<PayloadKind> {
+        PayloadKind::ALL.into_iter().find(|kind| kind.code() == code)
+    }
+}
+
+/// What a validated container header declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// The container format version (`1..=FORMAT_VERSION`).
+    pub version: u16,
+    /// The payload-kind code; [`PayloadKind::from_code`] names it.
+    pub kind: u16,
 }
 
 /// The valid prefix recovered from a (possibly torn) container.
@@ -67,8 +90,10 @@ pub struct SalvageDrop {
     pub detail: String,
 }
 
-/// Checks the header and returns the record region.
-fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
+/// Checks the header and returns it with the record region. With
+/// `expected` set, a header declaring any other kind is
+/// [`WireError::WrongKind`].
+fn check_header(bytes: &[u8], expected: Option<PayloadKind>) -> Result<(Header, &[u8]), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::TooShort { len: bytes.len() });
     }
@@ -82,7 +107,7 @@ fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
         return Err(WireError::UnsupportedVersion(version));
     }
     let found = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if found != kind.code() {
+    if let Some(kind) = expected.filter(|kind| kind.code() != found) {
         return Err(WireError::WrongKind { expected: kind.code(), found });
     }
     if bytes[8..12] != [0, 0, 0, 0] {
@@ -91,7 +116,15 @@ fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
             detail: "reserved header bytes must be zero in version 1".to_string(),
         });
     }
-    Ok(&bytes[HEADER_LEN..])
+    Ok((Header { version, kind: found }, &bytes[HEADER_LEN..]))
+}
+
+/// Validates a container header of any kind and returns what it declares,
+/// for readers that learn the kind from the file. Fails exactly as the
+/// typed readers do on a short file, bad magic, unsupported version or
+/// nonzero reserved bytes.
+pub fn read_header(bytes: &[u8]) -> Result<Header, WireError> {
+    check_header(bytes, None).map(|(header, _)| header)
 }
 
 fn header_bytes(kind: PayloadKind) -> [u8; HEADER_LEN] {
@@ -128,7 +161,7 @@ pub fn encode_container(kind: PayloadKind, records: &[&[u8]]) -> Result<Vec<u8>,
 /// This is the right mode for single-artifact files (checkpoints): a torn
 /// tail or trailing garbage is corruption, not something to paper over.
 pub fn read_container_strict(bytes: &[u8], kind: PayloadKind) -> Result<Vec<&[u8]>, WireError> {
-    let mut rest = check_header(bytes, kind)?;
+    let (_, mut rest) = check_header(bytes, Some(kind))?;
     let mut offset = HEADER_LEN;
     let mut records = Vec::new();
     while !rest.is_empty() {
@@ -169,7 +202,7 @@ pub fn read_container_strict(bytes: &[u8], kind: PayloadKind) -> Result<Vec<&[u8
 /// version, wrong kind) remain hard errors — there is nothing to salvage
 /// from a file we cannot identify.
 pub fn read_container_salvage(bytes: &[u8], kind: PayloadKind) -> Result<Salvage<'_>, WireError> {
-    let mut rest = check_header(bytes, kind)?;
+    let (_, mut rest) = check_header(bytes, Some(kind))?;
     let mut offset = HEADER_LEN;
     let mut records = Vec::new();
     while !rest.is_empty() {
@@ -273,11 +306,6 @@ impl<W: Write> ContainerWriter<W> {
         self.inner.write_all(&frame)?;
         self.inner.write_all(payload)?;
         self.inner.flush()
-    }
-
-    /// Serializes a value and appends it as one record.
-    pub fn append_value<T: Serialize>(&mut self, value: &T) -> io::Result<()> {
-        self.append(&encode_payload(&value.to_value()))
     }
 
     /// Access to the underlying writer (e.g. to `sync_all` a file).
@@ -394,6 +422,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn read_header_names_any_kind_and_validates_like_the_typed_readers() {
+        for kind in PayloadKind::ALL {
+            let bytes = encode_container(kind, &[b"x".as_slice()]).unwrap();
+            let header = read_header(&bytes).unwrap();
+            assert_eq!(header, Header { version: FORMAT_VERSION, kind: kind.code() });
+            assert_eq!(PayloadKind::from_code(header.kind), Some(kind));
+        }
+        assert_eq!(PayloadKind::from_code(0), None);
+        assert_eq!(PayloadKind::from_code(5), None);
+        let mut bytes = three_record_container();
+        bytes[6] = 0x2A;
+        assert_eq!(read_header(&bytes).map(|h| h.kind), Ok(0x2A));
+        bytes[8] = 1;
+        assert!(matches!(read_header(&bytes), Err(WireError::Truncated { offset: 8, .. })));
+        assert_eq!(read_header(b"{\"version\":1}"), Err(WireError::BadMagic));
+        assert_eq!(read_header(b"FWIR"), Err(WireError::TooShort { len: 4 }));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! grid and wrong for million-session serving: floats render at ~19 bytes
 //! each, field names repeat per record, and a half-written JSON file is
 //! indistinguishable from a corrupt one. This crate is the replacement
-//! substrate, with JSON demoted to a `--debug-export` path.
+//! substrate and the only durable format; `faction_cli inspect PATH`
+//! renders any container as JSON lines after the fact, learning the
+//! payload kind from [`read_header`] and [`PayloadKind::from_code`].
 //!
 //! ## Container layout (all integers little-endian)
 //!
@@ -49,8 +51,8 @@ mod crc;
 pub use codec::{decode_payload, encode_payload};
 pub use container::{
     encode_container, from_wire, from_wire_salvage, read_container_salvage,
-    read_container_strict, to_wire, ContainerWriter, PayloadKind, Salvage, SalvageDrop,
-    FORMAT_VERSION, HEADER_LEN, MAGIC, RECORD_FRAME_LEN,
+    read_container_strict, read_header, to_wire, ContainerWriter, Header, PayloadKind, Salvage,
+    SalvageDrop, FORMAT_VERSION, HEADER_LEN, MAGIC, RECORD_FRAME_LEN,
 };
 pub use crc::crc32;
 

@@ -83,12 +83,12 @@ run_stage "faction-engine determinism (jobs=1 == jobs=8)" \
     cargo test -q -p faction-engine --release --test determinism
 
 # Wire persistence gate: binary checkpoints/journals must round-trip
-# byte-identically to their JSON debug exports (proptests over Checkpoint,
+# byte-identically to their JSON renders (proptests over Checkpoint,
 # RunCheckpoint, and JobEvent payloads), and the corruption matrix must
 # hold — any single bit flip rejected by CRC, truncation at every byte
 # salvaging exactly the valid record prefix, torn tails reported, future
 # container versions refused (DESIGN.md §15).
-run_stage "wire-roundtrip (binary == JSON export, corruption matrix)" \
+run_stage "wire-roundtrip (binary == JSON render, corruption matrix)" \
     cargo test -q -p faction-engine --release --test wire_roundtrip
 
 # Schedule-chaos sanitizer: the same grids re-run under ChaosSchedule
