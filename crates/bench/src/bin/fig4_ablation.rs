@@ -1,70 +1,15 @@
-//! Figure 4: ablation curves on all datasets — FACTION vs "w/o Fair
-//! Select", "w/o Fair Reg", and "w/o Fair Select & Fair Reg". The paper's
-//! claim: every simplified variant exhibits inferior fairness.
-//!
-//! With `--extended`, two additional design-choice ablations from
-//! `DESIGN.md` §5 run as well: shared-covariance GDA and deterministic
-//! (top-K) acquisition instead of Bernoulli trials.
+//! Figure 4: FACTION vs its simplified variants on all datasets;
+//! `--extended` adds FACTION with a shared-covariance GDA. See
+//! `faction_bench::figures::fig4`.
 //!
 //! ```text
-//! cargo run -p faction-bench --release --bin fig4_ablation [-- --quick --dataset RCMNIST]
+//! cargo run -p faction-bench --release --bin fig4_ablation [-- --quick --extended]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
-use faction_core::report::{render_curves, render_summary_table, AggregatedRun};
-use faction_core::strategies::faction::{Faction, FactionParams};
-use faction_density::FairDensityConfig;
+use faction_bench::{figures, write_output, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
-    let extended = std::env::args().any(|a| a == "--extended");
-    let cfg = options.experiment_config();
-    let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
-
-    let mut factories: Vec<StrategyFactory> = vec![
-        Box::new(move || Box::new(Faction::new(base))),
-        Box::new(move || Box::new(Faction::without_fair_select(base))),
-        Box::new(move || Box::new(Faction::without_fair_reg(base))),
-        Box::new(move || Box::new(Faction::uncertainty_only(base))),
-    ];
-    if extended {
-        factories.push(Box::new(move || {
-            Box::new(Faction::new(FactionParams {
-                density: FairDensityConfig { shared_covariance: true, ..Default::default() },
-                ..base
-            }))
-        }));
-    }
-
-    let mut text = String::new();
-    let mut all: Vec<AggregatedRun> = Vec::new();
-    for dataset in options.datasets() {
-        eprintln!("fig4: {} …", dataset.name());
-        let scale = options.scale();
-        let mut aggregated = run_lineup(
-            &|seed| dataset.stream(seed, scale),
-            &factories,
-            &standard_arch,
-            &cfg,
-            options.seeds,
-            options.jobs,
-        );
-        if extended {
-            // Disambiguate the shared-covariance variant's display name
-            // (same strategy name as full FACTION otherwise).
-            if let Some(last) = aggregated.last_mut() {
-                last.strategy = "FACTION (shared-cov GDA)".into();
-            }
-        }
-        text.push_str(&format!("==== {} (ablation) ====\n", dataset.name()));
-        text.push_str(&render_curves(&aggregated, "DDP (lower better)", |t| t.ddp));
-        text.push_str(&render_curves(&aggregated, "EOD (lower better)", |t| t.eod));
-        text.push_str(&render_curves(&aggregated, "accuracy (higher better)", |t| t.accuracy));
-        text.push_str("\nsummary (mean over tasks):\n");
-        text.push_str(&render_summary_table(&aggregated));
-        text.push('\n');
-        all.extend(aggregated);
-    }
-    write_output(&options, "fig4_ablation", &text, &all);
+    let (options, extra) = HarnessOptions::from_args(&["--extended"]);
+    let rows = figures::fig4(&options, !extra.is_empty());
+    write_output(&options, "fig4_ablation", &figures::render_fig4(&rows), &rows);
 }

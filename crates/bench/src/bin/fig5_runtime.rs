@@ -1,101 +1,19 @@
-//! Figure 5: runtime comparisons.
-//!
-//! * `fig5_runtime fair` — Fig. 5a: runtimes of the fairness-aware models
-//!   (FACTION, FAL, FAL-CUR, Decoupled). Expected shape: FAL slowest by a
-//!   wide margin (expected-fairness retrains), FACTION cheaper than FAL and
-//!   FAL-CUR, slightly above Decoupled.
-//! * `fig5_runtime ablation` — Fig. 5b: FACTION vs its simplified variants
-//!   plus Random. Expected shape: runtime grows as components are added,
-//!   full FACTION under 2× Random.
+//! Figure 5 runtimes: `fair` (the default) runs Fig. 5a, the fairness-aware
+//! methods; `ablation` runs Fig. 5b, FACTION vs its simplified variants plus
+//! Random. See `faction_bench::figures::fig5`.
 //!
 //! ```text
 //! cargo run -p faction-bench --release --bin fig5_runtime -- fair [--quick]
 //! cargo run -p faction-bench --release --bin fig5_runtime -- ablation [--quick]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
-use faction_core::strategies::decoupled::{Decoupled, DecoupledParams};
-use faction_core::strategies::faction::{Faction, FactionParams};
-use faction_core::strategies::fal::{Fal, FalParams};
-use faction_core::strategies::falcur::FalCur;
-use faction_core::strategies::random::Random;
-use faction_core::Strategy;
-use serde::Serialize;
-
-#[derive(Debug, Serialize)]
-struct RuntimeRow {
-    dataset: String,
-    method: String,
-    mean_total_seconds: f64,
-}
+use faction_bench::figures::{self, Fig5};
+use faction_bench::{write_output, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
-    let mode = std::env::args()
-        .skip(1)
-        .find(|a| a == "fair" || a == "ablation")
-        .unwrap_or_else(|| "fair".into());
-    let cfg = options.experiment_config();
-    let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
-
-    let factories: Vec<(String, StrategyFactory)> = if mode == "fair" {
-        let fal_params = if options.quick {
-            FalParams { l: 16, retrain_subsample: 48, probe_subsample: 48, ..Default::default() }
-        } else {
-            FalParams::default()
-        };
-        let dec = if options.quick {
-            DecoupledParams { epochs: 1, ..Default::default() }
-        } else {
-            DecoupledParams::default()
-        };
-        vec![
-            ("FACTION".into(), Box::new(move || Box::new(Faction::new(base)) as Box<dyn Strategy>) as StrategyFactory),
-            ("FAL".into(), Box::new(move || Box::new(Fal::new(fal_params)))),
-            ("FAL-CUR".into(), Box::new(|| Box::new(FalCur::default()))),
-            ("Decoupled".into(), Box::new(move || Box::new(Decoupled::new(dec)))),
-        ]
-    } else {
-        vec![
-            ("Random".into(), Box::new(|| Box::new(Random) as Box<dyn Strategy>) as StrategyFactory),
-            (
-                "w/o fair select & fair reg".into(),
-                Box::new(move || Box::new(Faction::uncertainty_only(base))),
-            ),
-            ("w/o fair reg".into(), Box::new(move || Box::new(Faction::without_fair_reg(base)))),
-            (
-                "w/o fair select".into(),
-                Box::new(move || Box::new(Faction::without_fair_select(base))),
-            ),
-            ("FACTION".into(), Box::new(move || Box::new(Faction::new(base)))),
-        ]
-    };
-
-    let mut rows = Vec::new();
-    let mut text = format!("Fig. 5{} runtimes (seconds, mean over {} seeds)\n", if mode == "fair" { 'a' } else { 'b' }, options.seeds);
-    text.push_str(&format!("{:<16} {:<32} {:>12}\n", "dataset", "method", "seconds"));
-    for dataset in options.datasets() {
-        eprintln!("fig5 ({mode}): {} …", dataset.name());
-        let scale = options.scale();
-        for (label, factory) in &factories {
-            let aggregated = run_lineup(
-                &|seed| dataset.stream(seed, scale),
-                std::slice::from_ref(factory),
-                &standard_arch,
-                &cfg,
-                options.seeds,
-                options.jobs,
-            );
-            let seconds = aggregated[0].mean_total_seconds;
-            text.push_str(&format!("{:<16} {:<32} {:>12.2}\n", dataset.name(), label, seconds));
-            rows.push(RuntimeRow {
-                dataset: dataset.name().into(),
-                method: label.clone(),
-                mean_total_seconds: seconds,
-            });
-        }
-    }
-    let name = if mode == "fair" { "fig5a_runtime_fair" } else { "fig5b_runtime_ablation" };
-    write_output(&options, name, &text, &rows);
+    let (options, extra) = HarnessOptions::from_args(&["fair", "ablation"]);
+    let panel = if extra.last() == Some(&"ablation") { Fig5::Ablation } else { Fig5::Fair };
+    let rows = figures::fig5(&options, panel);
+    let text = figures::render_fig5(panel, options.seeds, &rows);
+    write_output(&options, panel.output_name(), &text, &rows);
 }

@@ -1,71 +1,15 @@
-//! Table I: FACTION vs its ablated variants on NYSF — runtime plus
-//! Acc / DDP / EOD / MI, each a mean across the 16 tasks (and across seeds).
-//!
-//! Paper reference values (Tesla V100):
-//!
-//! ```text
-//! Random                    65.2m  81.44 / 0.114 / 0.101 / 0.011
-//! w/o fair sel. & fair reg  82.6m  84.51 / 0.118 / 0.084 / 0.009
-//! w/o fair reg              90.2m  84.50 / 0.138 / 0.091 / 0.012
-//! w/o fair select          110.0m  82.73 / 0.110 / 0.078 / 0.010
-//! FACTION                  122.6m  83.41 / 0.089 / 0.059 / 0.006
-//! ```
-//!
-//! The reproduction checks the *shape*: runtime increases as components are
-//! added; FACTION yields the best DDP/EOD/MI at a small accuracy cost
-//! relative to the non-fairness-aware variant.
+//! Table I: FACTION vs its ablated variants on NYSF, with the paper's
+//! reference values (Tesla V100) under the measured table. See
+//! `faction_bench::figures::table1`.
 //!
 //! ```text
 //! cargo run -p faction-bench --release --bin table1_nysf [-- --quick]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
-use faction_core::report::render_summary_table;
-use faction_core::strategies::faction::{Faction, FactionParams};
-use faction_core::strategies::random::Random;
-use faction_data::datasets::Dataset;
+use faction_bench::{figures, write_output, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
-    let cfg = options.experiment_config();
-    let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
-
-    let labeled_factories: Vec<(&str, StrategyFactory)> = vec![
-        ("Random", Box::new(|| Box::new(Random))),
-        (
-            "w/o fair sel. & fair reg",
-            Box::new(move || Box::new(Faction::uncertainty_only(base))),
-        ),
-        ("w/o fair reg", Box::new(move || Box::new(Faction::without_fair_reg(base)))),
-        ("w/o fair select", Box::new(move || Box::new(Faction::without_fair_select(base)))),
-        ("FACTION", Box::new(move || Box::new(Faction::new(base)))),
-    ];
-
-    let dataset = Dataset::Nysf;
-    let scale = options.scale();
-    let mut aggregated = Vec::new();
-    for (label, factory) in &labeled_factories {
-        eprintln!("table1: {label} …");
-        let mut runs = run_lineup(
-            &|seed| dataset.stream(seed, scale),
-            std::slice::from_ref(factory),
-            &standard_arch,
-            &cfg,
-            options.seeds,
-            options.jobs,
-        );
-        runs[0].strategy = (*label).into();
-        aggregated.extend(runs);
-    }
-
-    let mut text = String::from("Table I: FACTION vs ablated variants on NYSF (mean across tasks)\n");
-    text.push_str(&render_summary_table(&aggregated));
-    text.push_str("\npaper reference (V100 minutes / Acc / DDP / EOD / MI):\n");
-    text.push_str("  Random                    65.2  81.44 / 0.114 / 0.101 / 0.011\n");
-    text.push_str("  w/o fair sel. & fair reg  82.6  84.51 / 0.118 / 0.084 / 0.009\n");
-    text.push_str("  w/o fair reg              90.2  84.50 / 0.138 / 0.091 / 0.012\n");
-    text.push_str("  w/o fair select          110.0  82.73 / 0.110 / 0.078 / 0.010\n");
-    text.push_str("  FACTION                  122.6  83.41 / 0.089 / 0.059 / 0.006\n");
-    write_output(&options, "table1_nysf", &text, &aggregated);
+    let (options, _) = HarnessOptions::from_args(&[]);
+    let rows = figures::table1(&options);
+    write_output(&options, "table1_nysf", &figures::render_table1(&rows), &rows);
 }

@@ -1,92 +1,15 @@
-//! Theorem 1 validation: regret, cumulative fairness violation, and query
-//! complexity growth under the convex (logistic) instantiation.
-//!
-//! The paper's Discussion derives, for a stationary environment (`m = 1`):
-//! `R = O(√T)` and `V = O(T^¼)`. This harness sweeps the horizon `T`,
-//! fits log–log growth exponents over the asymptotic half of each curve,
-//! and reports them next to the theoretical ceilings. It also runs a
-//! changing-environment configuration (`m = 4`) to show query complexity
-//! re-spiking at every environment boundary.
+//! Theorem 1 validation: regret, cumulative fairness violation and query
+//! complexity growth under the convex (logistic) instantiation. See
+//! `faction_bench::figures::theory`.
 //!
 //! ```text
 //! cargo run -p faction-bench --release --bin theory_bounds [-- --quick]
 //! ```
 
-use faction_bench::{write_output, HarnessOptions};
-use faction_core::theory::{mean_curves, TheoryConfig, TheoryCurves};
-use serde::Serialize;
-
-#[derive(Debug, Serialize)]
-struct TheoryRow {
-    environments: usize,
-    horizon: usize,
-    final_regret: f64,
-    final_violation: f64,
-    final_queries: f64,
-    regret_exponent: f64,
-    violation_exponent: f64,
-    query_exponent: f64,
-}
+use faction_bench::{figures, write_output, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
-    let horizons: &[usize] = if options.quick { &[20, 40] } else { &[40, 80, 160, 320] };
-    let seeds = if options.quick { 2 } else { options.seeds.max(3) };
-
-    let mut rows = Vec::new();
-    let mut text = String::from("Theorem 1 empirical validation (convex logistic instantiation)\n");
-    text.push_str(
-        "stationary ceilings: regret exponent 0.5 (R = O(√T)), violation exponent 0.25 (V = O(T^¼))\n\n",
-    );
-    text.push_str(&format!(
-        "{:>4} {:>8} {:>12} {:>12} {:>10} {:>8} {:>8} {:>8}\n",
-        "m", "T", "R(T)", "V(T)", "Q(T)", "exp(R)", "exp(V)", "exp(Q)"
-    ));
-    for &environments in &[1usize, 4] {
-        for &horizon in horizons {
-            let cfg = TheoryConfig { environments, ..Default::default() };
-            let curves = mean_curves(&cfg, horizon, seeds);
-            let row = TheoryRow {
-                environments,
-                horizon,
-                final_regret: *curves.cum_regret.last().unwrap_or(&0.0),
-                final_violation: *curves.cum_violation.last().unwrap_or(&0.0),
-                final_queries: *curves.cum_queries.last().unwrap_or(&0.0),
-                // A saturated (≈0) regret curve means the learner already
-                // matched the fair comparator — stronger than any sublinear
-                // rate; a log–log slope on such a curve is meaningless, so
-                // report 0.
-                regret_exponent: if curves.cum_regret.last().copied().unwrap_or(0.0) > 0.25 {
-                    TheoryCurves::growth_exponent(&curves.cum_regret)
-                } else {
-                    0.0
-                },
-                violation_exponent: TheoryCurves::growth_exponent(&curves.cum_violation),
-                query_exponent: TheoryCurves::growth_exponent(&curves.cum_queries),
-            };
-            text.push_str(&format!(
-                "{:>4} {:>8} {:>12.3} {:>12.3} {:>10.0} {:>8.3} {:>8.3} {:>8.3}\n",
-                row.environments,
-                row.horizon,
-                row.final_regret,
-                row.final_violation,
-                row.final_queries,
-                row.regret_exponent,
-                row.violation_exponent,
-                row.query_exponent
-            ));
-            eprintln!(
-                "theory: m={environments} T={horizon} done (R={:.2}, V={:.2})",
-                row.final_regret, row.final_violation
-            );
-            rows.push(row);
-        }
-    }
-    text.push_str(
-        "\ninterpretation: exponents < 1 confirm sublinear growth (an exponent of 0 marks\n\
-         a saturated curve — regret stops accumulating entirely, stronger than the bound);\n\
-         the m=4 rows show environment changes inflating queries relative to m=1 at\n\
-         equal T, matching the per-environment decomposition of Theorem 1.\n",
-    );
-    write_output(&options, "theory_bounds", &text, &rows);
+    let (options, _) = HarnessOptions::from_args(&[]);
+    let rows = figures::theory(&options);
+    write_output(&options, "theory_bounds", &figures::render_theory(&rows), &rows);
 }

@@ -1,16 +1,13 @@
 //! Shared plumbing for the benchmark harness binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! FACTION paper (see `DESIGN.md` §4 for the index). They share:
-//!
-//! * [`HarnessOptions`] — a minimal CLI (`--quick`, `--seeds N`,
-//!   `--dataset NAME`, `--out DIR`, `--jobs N`, `--pool-policy SPEC`);
-//! * [`run_lineup`] — "run these strategies on this stream across seeds and
-//!   aggregate" — the inner loop of every figure, fanned out over the
-//!   `faction-engine` thread pool when `--jobs > 1` (results are identical
-//!   for every worker count — see `DESIGN.md` §8);
-//! * [`write_output`] — persist the human-readable table and the
-//!   machine-readable JSON under `results/`.
+//! FACTION paper (see `DESIGN.md` §4 for the index) as a thin writer: parse
+//! [`HarnessOptions`], call the [`figures`] function that returns the
+//! figure's typed rows, render them, and [`write_output`] both.
+//! `run_lineup` is the inner loop of every figure: labeled strategies ×
+//! seeds on one stream, fanned out over the `faction-engine` thread pool
+//! when `--jobs > 1` (results are identical for every worker count — see
+//! `DESIGN.md` §8).
 //!
 //! The [`perf`] module holds the schema, gate table and gate evaluator of
 //! the `perf_report` smoke harness.
@@ -18,6 +15,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod figures;
 pub mod perf;
 
 use std::fs;
@@ -33,7 +31,17 @@ use faction_nn::MlpConfig;
 /// A factory producing a fresh strategy instance per seed (strategies are
 /// stateful across a run, so each seed gets its own). `Sync` so the engine
 /// pool can invoke factories from worker threads.
-pub type StrategyFactory = Box<dyn Fn() -> Box<dyn Strategy> + Sync>;
+pub(crate) type StrategyFactory = Box<dyn Fn() -> Box<dyn Strategy> + Sync>;
+
+/// A labeled strategy factory; the label becomes the aggregated row's
+/// `strategy` name.
+pub(crate) type Method = (&'static str, StrategyFactory);
+
+/// A fixed lineup: `(label, registry name)` pairs, in presentation order.
+pub type Lineup = [(&'static str, &'static str)];
+
+/// A `faction_nn::presets` constructor: `(input_dim, num_classes, seed)`.
+pub(crate) type Preset = fn(usize, usize, u64) -> MlpConfig;
 
 /// Parsed harness command line.
 #[derive(Debug, Clone)]
@@ -57,15 +65,34 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `std::env::args()`. Unknown flags abort with a usage message.
-    pub fn from_args() -> HarnessOptions {
-        HarnessOptions::parse(std::env::args().skip(1))
+    /// The flags every harness accepts.
+    pub const USAGE: &'static str =
+        "[--quick] [--seeds N] [--dataset NAME] [--out DIR] [--jobs N] [--pool-policy SPEC]";
+
+    /// Parses `std::env::args()`; see [`HarnessOptions::parse`]. A usage
+    /// error is printed with the usage line and exits with status 2.
+    pub fn from_args(extra: &[&'static str]) -> (HarnessOptions, Vec<&'static str>) {
+        let mut args = std::env::args();
+        let path = args.next().unwrap_or_default();
+        HarnessOptions::parse(args, extra).unwrap_or_else(|e| {
+            let program = path.rsplit('/').next().unwrap_or_default();
+            let words =
+                if extra.is_empty() { String::new() } else { format!("[{}] ", extra.join("|")) };
+            eprintln!("{program}: {e}\nusage: {program} {words}{}", Self::USAGE);
+            std::process::exit(2);
+        })
     }
 
-    /// Parses the arguments after the program name. `--seeds` defaults to
-    /// 5, or 2 under `--quick`; an explicit `--seeds N` wins in either
-    /// order. Unknown flags abort with a usage message.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> HarnessOptions {
+    /// Parses the arguments after the program name. `extra` lists the
+    /// binary's own words (fig5's `fair` / `ablation`, fig4's
+    /// `--extended`); those present are returned in command-line order.
+    /// `--seeds` defaults to 5, or 2 under `--quick`; an explicit
+    /// `--seeds N` wins in either order. Any other argument, a missing or
+    /// malformed value, or an unknown dataset is an error.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        extra: &[&'static str],
+    ) -> Result<(HarnessOptions, Vec<&'static str>), String> {
         let mut options = HarnessOptions {
             quick: false,
             seeds: 5,
@@ -75,47 +102,43 @@ impl HarnessOptions {
             pool_policy: PoolPolicy::Unbounded,
         };
         let mut seeds: Option<u64> = None;
+        let mut found = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
                 "--quick" => options.quick = true,
                 "--seeds" => {
-                    let v = args.next().expect("--seeds needs a value");
-                    seeds = Some(v.parse().expect("--seeds must be an integer"));
+                    let v = value()?;
+                    seeds = Some(v.parse().ok().filter(|&n: &u64| n > 0).ok_or_else(|| {
+                        format!("--seeds must be a positive integer, got '{v}'")
+                    })?);
                 }
                 "--dataset" => {
-                    let v = args.next().expect("--dataset needs a value");
+                    let v = value()?;
                     options.dataset = Some(
-                        Dataset::from_name(&v)
-                            .unwrap_or_else(|| panic!("unknown dataset '{v}'")),
+                        Dataset::from_name(&v).ok_or_else(|| format!("unknown dataset '{v}'"))?,
                     );
                 }
-                "--out" => {
-                    let v = args.next().expect("--out needs a value");
-                    options.out_dir = PathBuf::from(v);
-                }
+                "--out" => options.out_dir = PathBuf::from(value()?),
                 "--jobs" => {
-                    let v = args.next().expect("--jobs needs a value");
-                    let requested: usize = v.parse().expect("--jobs must be an integer");
+                    let v = value()?;
+                    let requested =
+                        v.parse().map_err(|_| format!("--jobs must be an integer, got '{v}'"))?;
                     options.jobs = faction_engine::resolve_workers(Some(requested));
                 }
                 "--pool-policy" => {
-                    let v = args.next().expect("--pool-policy needs a value");
-                    options.pool_policy = PoolPolicy::parse(&v)
-                        .unwrap_or_else(|e| panic!("invalid --pool-policy: {e}"));
+                    options.pool_policy = PoolPolicy::parse(&value()?)
+                        .map_err(|e| format!("invalid --pool-policy: {e}"))?;
                 }
-                other if !other.starts_with("--") => {
-                    // Positional argument (e.g. fig5's `fair` / `ablation`
-                    // selector) — left for the binary to re-read.
-                }
-                other => panic!(
-                    "unknown flag '{other}' \
-                     (try --quick/--seeds/--dataset/--out/--jobs/--pool-policy)"
-                ),
+                other => match extra.iter().find(|&&word| word == other) {
+                    Some(&word) => found.push(word),
+                    None => return Err(format!("unexpected argument '{other}'")),
+                },
             }
         }
         options.seeds = seeds.unwrap_or(if options.quick { 2 } else { 5 });
-        options
+        Ok((options, found))
     }
 
     /// The generation scale implied by `--quick`.
@@ -147,33 +170,34 @@ impl HarnessOptions {
     }
 }
 
-/// Runs each strategy factory over the stream for `seeds` repetitions and
-/// aggregates across seeds. The architecture is rebuilt per seed via
-/// `arch_for_seed` so weight initialization varies with the repetition, as
-/// in the paper's five-run protocol.
+/// Runs each method over the stream for `seeds` repetitions and aggregates
+/// across seeds, one row per method named by its label. `arch` is a
+/// `faction_nn::presets` constructor, rebuilt per seed and sized to the
+/// stream, so weight initialization varies with the repetition, as in the
+/// paper's five-run protocol.
 ///
-/// With `jobs > 1` the (factory × seed) grid is fanned out over the
+/// With `jobs > 1` the (method × seed) grid is fanned out over the
 /// `faction-engine` work-stealing pool. Every run is a pure function of
 /// `(stream, strategy, arch, seed)`, and results land in a slot table
 /// indexed by grid position, so the aggregated output is identical to the
 /// sequential nested loop for every worker count.
-pub fn run_lineup(
+pub(crate) fn run_lineup(
     stream_for_seed: &(dyn Fn(u64) -> TaskStream + Sync),
-    factories: &[StrategyFactory],
-    arch_for_seed: &(dyn Fn(&TaskStream, u64) -> MlpConfig + Sync),
+    methods: &[Method],
+    arch: Preset,
     cfg: &ExperimentConfig,
     seeds: u64,
     jobs: usize,
 ) -> Vec<AggregatedRun> {
     let grid: Vec<(usize, u64)> =
-        (0..factories.len()).flat_map(|f| (0..seeds).map(move |s| (f, s))).collect();
+        (0..methods.len()).flat_map(|m| (0..seeds).map(move |s| (m, s))).collect();
     let slots: Vec<Mutex<Option<faction_core::RunRecord>>> =
         grid.iter().map(|_| Mutex::new(None)).collect();
 
-    faction_engine::scoped_for_each(jobs, &grid, |slot, &(factory_idx, seed)| {
+    faction_engine::scoped_for_each(jobs, &grid, |slot, &(method, seed)| {
         let stream = stream_for_seed(seed);
-        let arch = arch_for_seed(&stream, seed);
-        let mut strategy = factories[factory_idx]();
+        let arch = arch(stream.input_dim, stream.num_classes, seed);
+        let mut strategy = (methods[method].1)();
         let record = run_experiment(&stream, strategy.as_mut(), &arch, cfg, seed);
         *slots[slot].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(record);
     });
@@ -186,60 +210,32 @@ pub fn run_lineup(
                 .expect("every grid slot is filled by the pool")
         })
         .collect();
-    factories
+    methods
         .iter()
-        .map(|_| {
+        .map(|&(label, _)| {
             let rest = records.split_off(seeds as usize);
             let runs = std::mem::replace(&mut records, rest);
-            AggregatedRun::from_runs(&runs)
+            AggregatedRun { strategy: label.into(), ..AggregatedRun::from_runs(&runs) }
         })
         .collect()
 }
 
-/// The full Fig. 2 method lineup as strategy factories, with cost knobs
-/// scaled down under `--quick` (FAL's `l`, Decoupled's epochs).
-pub fn paper_factories(
-    loss: faction_fairness::TotalLossConfig,
-    quick: bool,
-) -> Vec<StrategyFactory> {
-    use faction_core::strategies::{
-        ddu::Ddu,
-        decoupled::{Decoupled, DecoupledParams},
-        entropy::EntropyAl,
-        faction::{Faction, FactionParams},
-        fal::{Fal, FalParams},
-        falcur::FalCur,
-        qufur::QuFur,
-        random::Random,
-    };
-    let fal_params = if quick {
-        FalParams { l: 16, retrain_subsample: 48, probe_subsample: 48, ..Default::default() }
-    } else {
-        FalParams::default()
-    };
-    let decoupled_params =
-        if quick { DecoupledParams { epochs: 1, ..Default::default() } } else { DecoupledParams::default() };
-    vec![
-        Box::new(move || Box::new(Faction::new(FactionParams { loss, ..Default::default() }))),
-        Box::new(move || Box::new(Fal::new(fal_params))),
-        Box::new(|| Box::new(FalCur::default())),
-        Box::new(move || Box::new(Decoupled::new(decoupled_params))),
-        Box::new(|| Box::new(QuFur::default())),
-        Box::new(|| Box::new(Ddu::default())),
-        Box::new(|| Box::new(EntropyAl)),
-        Box::new(|| Box::new(Random)),
-    ]
-}
-
-/// The standard architecture used by all methods in a comparison
-/// (Sec. V-A3): the spectrally normalized preset sized to the stream.
-pub fn standard_arch(stream: &TaskStream, seed: u64) -> MlpConfig {
-    faction_nn::presets::standard(stream.input_dim, stream.num_classes, seed)
-}
-
-/// The Fig. 6 wide architecture (the WRN-50 stand-in; see `DESIGN.md` §3).
-pub fn wide_arch(stream: &TaskStream, seed: u64) -> MlpConfig {
-    faction_nn::presets::wide(stream.input_dim, stream.num_classes, seed)
+/// Resolves a fixed lineup through the engine's strategy registry, with
+/// the cost knobs `--quick` implies, so a harness and `faction_cli` mean
+/// the same thing by every name.
+pub(crate) fn registry_methods(lineup: &Lineup, options: &HarnessOptions) -> Vec<Method> {
+    let loss = options.experiment_config().loss;
+    let quick = options.quick;
+    lineup
+        .iter()
+        .map(|&(label, name)| {
+            let factory: StrategyFactory = Box::new(move || {
+                faction_engine::build_strategy(name, loss, 1.0, quick)
+                    .unwrap_or_else(|| panic!("'{name}' is not a registered strategy"))
+            });
+            (label, factory)
+        })
+        .collect()
 }
 
 /// Writes `text` to `<out>/<name>.txt`, `json` to `<out>/<name>.json`, and
@@ -260,25 +256,67 @@ mod tests {
     use super::*;
     use faction_core::strategies::{EntropyAl, Random};
 
-    fn parse(args: &[&str]) -> HarnessOptions {
-        HarnessOptions::parse(args.iter().map(|a| a.to_string()))
+    type Parsed = Result<(HarnessOptions, Vec<&'static str>), String>;
+
+    fn parse(args: &[&str], extra: &[&'static str]) -> Parsed {
+        HarnessOptions::parse(args.iter().map(|a| a.to_string()), extra)
+    }
+
+    fn options(args: &[&str]) -> HarnessOptions {
+        parse(args, &[]).expect("valid arguments").0
     }
 
     #[test]
     fn explicit_seeds_win_over_quick_in_either_order() {
-        assert_eq!(parse(&["--seeds", "5", "--quick"]).seeds, 5);
-        assert_eq!(parse(&["--quick", "--seeds", "5"]).seeds, 5);
-        assert_eq!(parse(&["--quick"]).seeds, 2);
-        assert_eq!(parse(&[]).seeds, 5);
-        let options = parse(&["fair", "--seeds", "1", "--quick"]);
-        assert_eq!((options.seeds, options.quick), (1, true));
+        assert_eq!(options(&["--seeds", "5", "--quick"]).seeds, 5);
+        assert_eq!(options(&["--quick", "--seeds", "5"]).seeds, 5);
+        assert_eq!(options(&["--quick"]).seeds, 2);
+        assert_eq!(options(&[]).seeds, 5);
+        let (options, extra) =
+            parse(&["fair", "--seeds", "1", "--quick"], &["fair", "ablation"]).unwrap();
+        assert_eq!((options.seeds, options.quick, extra), (1, true, vec!["fair"]));
     }
 
     #[test]
-    fn run_lineup_aggregates_each_factory() {
-        let factories: Vec<StrategyFactory> = vec![
-            Box::new(|| Box::new(Random)),
-            Box::new(|| Box::new(EntropyAl)),
+    fn a_stray_positional_is_an_error_unless_the_binary_accepts_it() {
+        let err = parse(&["fair", "--quick"], &[]).unwrap_err();
+        assert!(err.contains("'fair'"), "{err}");
+        let err = parse(&["ablaton"], &["fair", "ablation"]).unwrap_err();
+        assert!(err.contains("'ablaton'"), "{err}");
+        assert_eq!(parse(&["ablation"], &["fair", "ablation"]).unwrap().1, vec!["ablation"]);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_unless_the_binary_accepts_it() {
+        assert!(parse(&["--bogus"], &[]).unwrap_err().contains("'--bogus'"));
+        assert!(parse(&["--extended"], &[]).is_err());
+        assert!(parse(&["--extended"], &["fair", "ablation"]).is_err());
+        let (_, extra) = parse(&["--quick", "--extended"], &["--extended"]).unwrap();
+        assert_eq!(extra, vec!["--extended"]);
+    }
+
+    #[test]
+    fn a_missing_or_malformed_value_is_an_error() {
+        for (args, needle) in [
+            (&["--seeds"][..], "--seeds needs a value"),
+            (&["--seeds", "x"], "'x'"),
+            (&["--seeds", "-1"], "'-1'"),
+            (&["--seeds", "0"], "positive"),
+            (&["--dataset", "MNIST"], "unknown dataset 'MNIST'"),
+            (&["--jobs", "two"], "'two'"),
+            (&["--pool-policy", "lru"], "--pool-policy"),
+            (&["--out"], "--out needs a value"),
+        ] {
+            let err = parse(args, &[]).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn run_lineup_aggregates_each_method_under_its_label() {
+        let methods: Vec<Method> = vec![
+            ("random", Box::new(|| Box::new(Random))),
+            ("entropy", Box::new(|| Box::new(EntropyAl))),
         ];
         let cfg = ExperimentConfig {
             budget: 10,
@@ -295,13 +333,11 @@ mod tests {
             }
             s
         };
-        let arch = |stream: &TaskStream, seed: u64| {
-            faction_nn::presets::tiny(stream.input_dim, stream.num_classes, seed)
-        };
-        let aggregated = run_lineup(&stream_for_seed, &factories, &arch, &cfg, 2, 2);
+        let tiny = faction_nn::presets::tiny;
+        let aggregated = run_lineup(&stream_for_seed, &methods, tiny, &cfg, 2, 2);
         assert_eq!(aggregated.len(), 2);
-        assert_eq!(aggregated[0].strategy, "Random");
-        assert_eq!(aggregated[1].strategy, "Entropy-AL");
+        assert_eq!(aggregated[0].strategy, "random");
+        assert_eq!(aggregated[1].strategy, "entropy");
         assert_eq!(aggregated[0].seeds, 2);
         assert_eq!(aggregated[0].tasks.len(), 2);
     }

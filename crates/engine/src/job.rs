@@ -42,6 +42,20 @@ pub const STRATEGY_NAMES: &[&str] = &[
     "random",
 ];
 
+/// The paper's eight-method comparison (Figs. 2 and 6, and `faction_cli
+/// grid`'s default `--strategies`) as `(display name, registry name)` pairs,
+/// in presentation order.
+pub const PAPER_LINEUP: [(&str, &str); 8] = [
+    ("FACTION", "faction"),
+    ("FAL", "fal"),
+    ("FAL-CUR", "fal-cur"),
+    ("Decoupled", "decoupled"),
+    ("QuFUR", "qufur"),
+    ("DDU", "ddu"),
+    ("Entropy-AL", "entropy"),
+    ("Random", "random"),
+];
+
 /// Builds a strategy by registry name. `quick` scales down the cost knobs
 /// of FAL (subsample sizes) exactly as the CLI and harnesses always have.
 /// Returns `None` for unknown names.
@@ -222,6 +236,14 @@ mod tests {
             );
         }
         assert!(build_strategy("nope", Default::default(), 1.0, true).is_none());
+    }
+
+    #[test]
+    fn paper_lineup_labels_are_the_strategies_own_names() {
+        for (label, name) in PAPER_LINEUP {
+            let strategy = build_strategy(name, Default::default(), 1.0, false).expect("registered");
+            assert_eq!(strategy.name(), label, "registry name '{name}'");
+        }
     }
 
     #[test]

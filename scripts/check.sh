@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-shot pre-commit gate: build, tests, lints, the determinism/numerics
-# analyzer, and a perf-harness smoke run. Everything runs from the repo
-# root regardless of invocation cwd, and a per-stage timing table prints
-# at the end. The perf smoke writes its one report under
-# target/bench-smoke/, so a full run leaves the working tree clean.
+# analyzer, and perf-harness and paper-harness smoke runs. Everything runs
+# from the repo root regardless of invocation cwd, and a per-stage timing
+# table prints at the end. Both smokes write under target/bench-smoke/, so
+# a full run leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +60,29 @@ run_stage "analyzer-v2 (golden fixtures + self-scan)" \
 # instrumented grid byte-identical to the 1-worker run) fail it too.
 run_stage "perf_report --quick (perf gates)" \
     cargo run -q -p faction-bench --release --bin perf_report -- --quick --out-dir "${BENCH_SMOKE}"
+
+# Harness smoke: two paper harnesses run end to end as thin writers into
+# target/bench-smoke/harness/ and must leave both their .txt and .json,
+# and a stray positional must be a usage error (exit 2), not a silent run.
+harness_smoke() {
+    local out="${BENCH_SMOKE}/harness" status=0 bin ext
+    ./target/release/table1_nysf --quick --seeds 1 --out "${out}" >/dev/null
+    ./target/release/theory_bounds --quick --out "${out}" >/dev/null
+    for bin in table1_nysf theory_bounds; do
+        for ext in txt json; do
+            if [[ ! -s "${out}/${bin}.${ext}" ]]; then
+                echo "missing ${out}/${bin}.${ext}"
+                return 1
+            fi
+        done
+    done
+    ./target/release/table1_nysf --quick stray 2>/dev/null || status=$?
+    if [[ "${status}" != 2 ]]; then
+        echo "table1_nysf with a stray positional exited ${status}, want 2"
+        return 1
+    fi
+}
+run_stage "harness smoke (table1_nysf, theory_bounds)" harness_smoke
 
 # Incremental-GDA correctness gate: on a stationary stream with a frozen
 # model, the rank-1 update/downdate path must stay within 1e-8 of a full

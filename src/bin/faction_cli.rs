@@ -343,10 +343,7 @@ fn cmd_grid(flags: &Flags) {
     };
     let strategy_names: Vec<String> = match flags.get("strategies") {
         Some(csv) => csv.split(',').map(|s| s.trim().to_string()).collect(),
-        None => ["faction", "fal", "fal-cur", "decoupled", "qufur", "ddu", "entropy", "random"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        None => faction::engine::PAPER_LINEUP.iter().map(|&(_, name)| name.to_string()).collect(),
     };
     for name in &strategy_names {
         if faction::engine::build_strategy(name, cfg.loss, lambda, quick).is_none() {
