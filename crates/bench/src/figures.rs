@@ -20,14 +20,14 @@ use faction_fairness::TotalLossConfig;
 use faction_nn::presets::{standard, wide};
 use serde::Serialize;
 
-pub use faction_engine::PAPER_LINEUP;
+use faction_engine::PAPER_LINEUP;
 
 use crate::{
     registry_methods, run_lineup, HarnessOptions, Lineup, Method, Preset, StrategyFactory,
 };
 
 /// Table I: Random, then FACTION with components added back one by one.
-pub const TABLE1_LINEUP: [(&str, &str); 5] = [
+const TABLE1_LINEUP: [(&str, &str); 5] = [
     ("Random", "random"),
     ("w/o fair sel. & fair reg", "faction-uncertainty"),
     ("w/o fair reg", "faction-no-reg"),
@@ -36,15 +36,12 @@ pub const TABLE1_LINEUP: [(&str, &str); 5] = [
 ];
 
 /// Fig. 4: FACTION and its three simplified variants.
-pub const FIG4_LINEUP: [(&str, &str); 4] = [
+const FIG4_LINEUP: [(&str, &str); 4] = [
     ("FACTION", "faction"),
     ("FACTION w/o Fair Select", "faction-no-select"),
     ("FACTION w/o Fair Reg", "faction-no-reg"),
     ("FACTION w/o Fair Select & Fair Reg", "faction-uncertainty"),
 ];
-
-/// The label of the variant `fig4_ablation --extended` adds.
-pub const SHARED_COV_LABEL: &str = "FACTION (shared-cov GDA)";
 
 /// Which Fig. 5 panel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,21 +134,21 @@ pub struct TheoryRow {
     pub query_exponent: f64,
 }
 
-/// Table I: FACTION vs its ablated variants ([`TABLE1_LINEUP`]) on NYSF —
+/// Table I: FACTION vs its ablated variants on NYSF —
 /// runtime plus Acc / DDP / EOD / MI, each a mean across the 16 tasks (and
 /// across seeds). The shape to reproduce: runtime increases as components
 /// are added; FACTION yields the best DDP/EOD/MI at a small accuracy cost
 /// relative to the non-fairness-aware variant.
 pub fn table1(options: &HarnessOptions) -> Vec<AggregatedRun> {
     let methods = registry_methods(&TABLE1_LINEUP, options);
-    run("table1", options, &[Dataset::Nysf], &methods, standard)
+    run("table1", options, &[Dataset::Nysf], &methods, standard, true)
 }
 
 /// Fig. 2: per-task Accuracy / DDP / EOD / MI curves for FACTION and the
-/// seven baselines ([`PAPER_LINEUP`]) on every selected dataset.
+/// seven baselines (`faction_engine::PAPER_LINEUP`) on every selected dataset.
 pub fn fig2(options: &HarnessOptions) -> Vec<AggregatedRun> {
     let methods = registry_methods(&PAPER_LINEUP, options);
-    run("fig2", options, &options.datasets(), &methods, standard)
+    run("fig2", options, &options.datasets(), &methods, standard, false)
 }
 
 /// Fig. 3: the fairness–accuracy trade-off on every selected dataset, each
@@ -186,7 +183,7 @@ pub fn fig3(options: &HarnessOptions) -> Vec<TradeoffPoint> {
         let factory: StrategyFactory = Box::new(move || Box::new(Decoupled::new(params)));
         add("Decoupled", format!("alpha={threshold}"), factory);
     }
-    let runs = run("fig3", options, &options.datasets(), &methods, standard);
+    let runs = run("fig3", options, &options.datasets(), &methods, standard, false);
     runs.into_iter()
         .zip(parameters.iter().cycle())
         .map(|(run, parameter)| {
@@ -207,20 +204,19 @@ pub fn fig3(options: &HarnessOptions) -> Vec<TradeoffPoint> {
         .collect()
 }
 
-/// Fig. 4: FACTION vs its three simplified variants ([`FIG4_LINEUP`]) on
-/// every selected dataset. The paper's claim: every simplified variant
-/// exhibits inferior fairness. `extended` adds one design-choice ablation
-/// from `DESIGN.md` §5: FACTION with a shared-covariance GDA
-/// ([`SHARED_COV_LABEL`]).
+/// Fig. 4: FACTION vs its three simplified variants on every selected
+/// dataset. The paper's claim: every simplified variant exhibits inferior
+/// fairness. `extended` adds one design-choice ablation from `DESIGN.md`
+/// §5: FACTION with a shared-covariance GDA.
 pub fn fig4(options: &HarnessOptions, extended: bool) -> Vec<AggregatedRun> {
     let mut methods = registry_methods(&FIG4_LINEUP, options);
     if extended {
         let loss = options.experiment_config().loss;
         let density = FairDensityConfig { shared_covariance: true, ..Default::default() };
         let params = FactionParams { density, loss, ..Default::default() };
-        methods.push((SHARED_COV_LABEL, Box::new(move || Box::new(Faction::new(params)))));
+        methods.push(("FACTION (shared-cov GDA)", Box::new(move || Box::new(Faction::new(params)))));
     }
-    run("fig4", options, &options.datasets(), &methods, standard)
+    run("fig4", options, &options.datasets(), &methods, standard, false)
 }
 
 /// Fig. 5: each method's mean runtime on every selected dataset. Expected
@@ -230,7 +226,7 @@ pub fn fig4(options: &HarnessOptions, extended: bool) -> Vec<AggregatedRun> {
 /// FACTION under 2× Random.
 pub fn fig5(options: &HarnessOptions, panel: Fig5) -> Vec<RuntimeRow> {
     let methods = registry_methods(panel.lineup(), options);
-    let runs = run("fig5", options, &options.datasets(), &methods, standard);
+    let runs = run("fig5", options, &options.datasets(), &methods, standard, true);
     runs.into_iter()
         .map(|run| RuntimeRow {
             dataset: run.dataset,
@@ -240,13 +236,13 @@ pub fn fig5(options: &HarnessOptions, panel: Fig5) -> Vec<RuntimeRow> {
         .collect()
 }
 
-/// Fig. 6: architecture generality — [`PAPER_LINEUP`] on CelebA with the
+/// Fig. 6: architecture generality — the paper lineup on CelebA with the
 /// wide preset (the paper's Wide-ResNet-50 stand-in; see `DESIGN.md` §3).
 /// The claim: FACTION's fairness advantage persists under a different
 /// architecture while accuracy stays competitive.
 pub fn fig6(options: &HarnessOptions) -> Vec<AggregatedRun> {
     let methods = registry_methods(&PAPER_LINEUP, options);
-    run("fig6", options, &[Dataset::CelebA], &methods, wide)
+    run("fig6", options, &[Dataset::CelebA], &methods, wide, false)
 }
 
 /// Theorem 1: regret, cumulative fairness violation and query complexity
@@ -409,20 +405,27 @@ pub fn render_theory(rows: &[TheoryRow]) -> String {
 
 /// Runs `methods` on each dataset in turn at the options' scale, protocol,
 /// seeds and worker count, logging progress under `figure`. Every method in
-/// a comparison shares the `arch` preset (Sec. V-A3).
+/// a comparison shares the `arch` preset (Sec. V-A3). With `timed`, each
+/// method gets its own fan-out, so the runtime a figure reports is measured
+/// with only that method's seeds co-scheduled; otherwise the whole lineup
+/// shares one fan-out.
 fn run(
     figure: &str,
     options: &HarnessOptions,
     datasets: &[Dataset],
     methods: &[Method],
     arch: Preset,
+    timed: bool,
 ) -> Vec<AggregatedRun> {
     let (cfg, scale) = (options.experiment_config(), options.scale());
+    let per_fan_out = if timed { 1 } else { methods.len().max(1) };
     let mut rows = Vec::new();
     for &dataset in datasets {
         eprintln!("{figure}: {} …", dataset.name());
         let stream_for_seed = |seed| dataset.stream(seed, scale);
-        rows.extend(run_lineup(&stream_for_seed, methods, arch, &cfg, options.seeds, options.jobs));
+        for group in methods.chunks(per_fan_out) {
+            rows.extend(run_lineup(&stream_for_seed, group, arch, &cfg, options.seeds, options.jobs));
+        }
     }
     rows
 }
@@ -479,7 +482,6 @@ mod tests {
             let labels: BTreeSet<&str> = lineup.iter().map(|&(label, _)| label).collect();
             assert_eq!(labels.len(), lineup.len(), "{figure}: duplicate label");
         }
-        assert!(FIG4_LINEUP.iter().all(|&(label, _)| label != SHARED_COV_LABEL));
     }
 
     #[test]

@@ -61,11 +61,14 @@ run_stage "analyzer-v2 (golden fixtures + self-scan)" \
 run_stage "perf_report --quick (perf gates)" \
     cargo run -q -p faction-bench --release --bin perf_report -- --quick --out-dir "${BENCH_SMOKE}"
 
-# Harness smoke: two paper harnesses run end to end as thin writers into
-# target/bench-smoke/harness/ and must leave both their .txt and .json,
-# and a stray positional must be a usage error (exit 2), not a silent run.
+# Harness smoke: two paper harnesses, built here from the current source
+# (the release build above covers only the root package), run end to end
+# as thin writers into target/bench-smoke/harness/ and must leave both
+# their .txt and .json, and a stray positional must be a usage error
+# (exit 2), not a silent run.
 harness_smoke() {
     local out="${BENCH_SMOKE}/harness" status=0 bin ext
+    cargo build -q -p faction-bench --release --bin table1_nysf --bin theory_bounds
     ./target/release/table1_nysf --quick --seeds 1 --out "${out}" >/dev/null
     ./target/release/theory_bounds --quick --out "${out}" >/dev/null
     for bin in table1_nysf theory_bounds; do
