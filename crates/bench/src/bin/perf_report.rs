@@ -1,20 +1,24 @@
 //! Perf smoke harness for the FACTION hot paths, the engine and the
 //! persistence layer: one run, one `perf_report.json`, one gate table.
 //!
-//! Sections, each recording stages, values and gates into one
-//! [`PerfReport`] (schema and gate table in `faction_bench::perf`):
+//! Every stage feeds a gate or runs at a shape a paper-scale RCMNIST run
+//! has (perfbench's `paper_run`): 16-d inputs, a 16→64→32→2 MLP trained on
+//! 64-row batches, 830 candidates per task, a labeled pool of up to 2,500
+//! rows over 2 classes × 2 sensitive groups. Sections, each recording
+//! stages, values and gates into one [`PerfReport`] (schema and gate table
+//! in `faction_bench::perf`):
 //!
-//! * GEMM: the kept naive kernel vs the blocked/packed path at 256², and
-//!   naive / blocked / AVX2 at 64, 256 and 512;
-//! * GDA fit and scoring (per-sample reference vs batched), and the same
-//!   batched pass with a live telemetry registry in scope;
-//! * MLP feature extraction, training steps (and the step/forward ratio
-//!   at the 64-row training shape), one FACTION round;
+//! * GEMM: naive / blocked / AVX2 over the forward GEMMs of one training
+//!   step;
+//! * GDA fit and scoring on the MLP's 32-d features (per-sample reference
+//!   vs batched), and the same batched pass with a live telemetry registry
+//!   in scope;
+//! * MLP feature extraction, the step/forward ratio at the training shape,
+//!   one FACTION round;
 //! * per-round cost vs pool size under full and incremental refit;
 //! * steady-state sliding-window push+evict cost vs pool size, and the
 //!   analyzer's workspace self-scan;
-//! * multi-tenant serve throughput and feed latency at three scales;
-//! * checkpoint bytes and codec cost, wire container vs JSON;
+//! * a session snapshot's compact JSON bytes over its wire bytes;
 //! * runner phase-span coverage on an instrumented job;
 //! * a reduced grid at 1/2/4(/nproc) workers, checked byte-identical at
 //!   every worker count, plus an instrumented run's scheduler counters.
@@ -32,179 +36,160 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use faction_bench::perf::{
-    median, repo_root, time_stage, Host, PerfOptions, PerfReport, StageTiming,
+    median, repo_root, time_interleaved, time_stage, Host, PerfOptions, PerfReport, StageTiming,
 };
-use faction_core::checkpoint::Checkpoint;
 use faction_core::strategies::{
     faction::{FactionParams, RefitMode},
     Faction, SelectionContext, Strategy,
 };
-use faction_core::{ExperimentConfig, LabeledPool, OnlineModel, PoolPolicy};
+use faction_core::{ExperimentConfig, LabeledPool, OnlineSession, PoolPolicy};
 use faction_data::datasets::Dataset;
-use faction_data::Scale;
-use faction_density::{DensityScratch, FairDensityConfig, FairDensityEstimator};
+use faction_data::{Scale, Task};
+use faction_density::{DensityScratch, FairDensityEstimator};
 use faction_engine::{Engine, EngineConfig, ExperimentJob};
 use faction_linalg::kernels::{matmul_blocked, matmul_simple};
 use faction_linalg::simd::matmul_simd_into;
 use faction_linalg::{Matrix, SeedRng};
 use faction_nn::mlp::{Mlp, MlpConfig};
 use faction_nn::{BatchMeta, CrossEntropyLoss, MlpWorkspace, Sgd};
-use faction_serve::{parse_workload, ServeConfig, SessionManager};
-use faction_telemetry::{Handle, Histogram, Registry};
-use faction_wire::{from_wire, to_wire, PayloadKind};
+use faction_telemetry::{Handle, Registry};
 
-/// Feature dimension of the synthetic scoring/training inputs.
+/// Input dimension of the RCMNIST stream.
 const D: usize = 16;
+/// The MLP the system trains: 16→64→32→2.
+const LAYERS: [usize; 4] = [D, 64, 32, 2];
+/// Rows of one training batch.
+const BATCH_ROWS: usize = 64;
+/// Labeled-pool rows at the end of a paper-scale run (100 warm-start
+/// labels plus 200 per task over 12 tasks).
+const POOL_ROWS: usize = 2500;
 /// Pool sizes the growth sections compare (largest over smallest).
 const POOL_SIZES: [usize; 3] = [250, 1000, 4000];
 
-/// The seeded inputs the scoring, training and pool sections share.
+/// The paper-scale RCMNIST stream's shapes: a session whose pool holds the
+/// stream's first [`POOL_ROWS`] samples, and the last task as candidates.
 struct Inputs {
-    /// 2000 training rows, 16-d.
-    train_x: Matrix,
-    /// Their 4-class labels (the GDA fit's 8 components).
-    train_y: Vec<usize>,
-    /// Their binary labels (the MLP and pool sections).
-    binary_y: Vec<usize>,
+    /// Warm-started on [`POOL_ROWS`] labels with the paper configuration,
+    /// so its model is the standard spectrally normalized MLP trained on
+    /// that pool.
+    session: OnlineSession,
+    /// The strategy the session's training loss comes from.
+    strategy: Faction,
+    /// The last task's 830 samples: one round's candidates.
+    candidates: Matrix,
     /// Their sensitive attributes.
-    train_s: Vec<i8>,
-    /// 1000 candidate rows.
-    cand_x: Matrix,
+    candidate_sensitives: Vec<i8>,
 }
 
 impl Inputs {
     fn new() -> Inputs {
-        let (train_x, train_y, train_s) = synthetic(2000, D, 4, 23);
-        let (cand_x, _, _) = synthetic(1000, D, 4, 29);
-        let binary_y = train_y.iter().map(|&y| y % 2).collect();
-        Inputs { train_x, train_y, binary_y, train_s, cand_x }
-    }
-
-    /// Pushes training row `i` (wrapping) into `pool`.
-    fn push(&self, pool: &mut LabeledPool, i: usize) {
-        let i = i % self.train_x.rows();
-        pool.push(self.train_x.row(i).to_vec(), self.binary_y[i], self.train_s[i]);
-    }
-}
-
-fn synthetic(n: usize, d: usize, classes: usize, seed: u64) -> (Matrix, Vec<usize>, Vec<i8>) {
-    let mut rng = SeedRng::new(seed);
-    let mut features = Matrix::zeros(0, 0);
-    let mut labels = Vec::with_capacity(n);
-    let mut sens = Vec::with_capacity(n);
-    for i in 0..n {
-        let y = i % classes;
-        let s: i8 = if (i / classes).is_multiple_of(2) { 1 } else { -1 };
-        let mut x = rng.standard_normal_vec(d);
-        x[0] += 2.0 * y as f64;
-        x[1] += f64::from(s);
-        features.push_row(&x).unwrap();
-        labels.push(y);
-        sens.push(s);
-    }
-    (features, labels, sens)
-}
-
-fn random_square(rng: &mut SeedRng, dim: usize) -> Vec<f64> {
-    (0..dim * dim).map(|_| rng.uniform_range(-1.0, 1.0)).collect()
-}
-
-/// Alternating sign pattern for `n` candidates.
-fn alternating_sensitives(n: usize) -> Vec<i8> {
-    (0..n).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect()
-}
-
-/// Conservative p99 from a log2-bucket histogram: the upper bound of the
-/// bucket the 99th-percentile rank falls in.
-fn histogram_p99(h: &Histogram) -> u64 {
-    if h.count == 0 {
-        return 0;
-    }
-    let rank = (h.count as f64 * 0.99).ceil() as u64;
-    let mut seen = 0u64;
-    for (i, &bucket) in h.buckets.iter().enumerate() {
-        seen = seen.saturating_add(bucket);
-        if seen >= rank {
-            // Bucket i holds [2^(i-1), 2^i); its upper bound cannot
-            // overstate by more than 2x, and never understates.
-            return match i {
-                0 => 0,
-                1..=63 => (1u64 << i).min(h.max),
-                _ => h.max,
-            };
+        let stream = Dataset::Rcmnist.stream(23, Scale::Full);
+        let last = stream.tasks.last().expect("the stream has tasks");
+        let samples =
+            stream.tasks.iter().flat_map(|t| &t.samples).take(POOL_ROWS).cloned().collect();
+        let strategy = Faction::new(FactionParams::default());
+        let cfg = ExperimentConfig { warm_start: POOL_ROWS, ..ExperimentConfig::paper() };
+        let arch = faction_nn::presets::standard(D, 2, 37);
+        let mut session = OnlineSession::new(&arch, &cfg, 37, 2, strategy.training_loss());
+        session.warm_start(&Task { samples, ..last.clone() });
+        Inputs {
+            session,
+            strategy,
+            candidates: last.features(),
+            candidate_sensitives: last.sensitives(),
         }
     }
-    h.max
+
+    /// Pushes row `i` (wrapping) of the session's pool into `pool`.
+    fn push(&self, pool: &mut LabeledPool, i: usize) {
+        let source = self.session.pool();
+        let i = i % source.len();
+        pool.push(source.features().row(i).to_vec(), source.labels()[i], source.sensitives()[i]);
+    }
 }
 
-/// GEMM: the naive reference vs the blocked path at 256², then the kernel
-/// lineup through facade-free entry points, so each timing pins a kernel
-/// rather than whatever the process-global dispatch resolved to.
+/// GEMM: the forward products of one training step (a 64-row batch
+/// through 16→64→32→2, the shapes of perfbench's `linalg.gemm_*` probes)
+/// per kernel, through facade-free entry points, so each timing pins a
+/// kernel rather than whatever the process-global dispatch resolved to.
+/// The blocked path hands the 32→2 layer (`n` below the register tile) to
+/// the naive loop on every backend.
 fn gemm(report: &mut PerfReport, reps: usize) {
     let mut rng = SeedRng::new(17);
-    let a = Matrix::from_vec(256, 256, random_square(&mut rng, 256)).unwrap();
-    let b = Matrix::from_vec(256, 256, random_square(&mut rng, 256)).unwrap();
-    let naive = report.stage(time_stage("matmul_256_naive", reps, 1, || {
-        std::hint::black_box(a.matmul_naive(&b).unwrap());
-    }));
-    let blocked = report.stage(time_stage("matmul_256_blocked", reps, 1, || {
-        std::hint::black_box(a.matmul(&b).unwrap());
-    }));
-    report.gate("matmul_256_speedup", naive as f64 / blocked as f64);
-
-    // The blocked baseline is itself compiled with `-C target-cpu=native`,
-    // so the AVX2 ratio over it measures headroom over autovectorization.
-    let mut rng = SeedRng::new(71);
-    for dim in [64usize, 256, 512] {
-        let a = random_square(&mut rng, dim);
-        let b = random_square(&mut rng, dim);
-        let mut out = vec![0.0; dim * dim];
-        report.stage(time_stage(&format!("pr9_gemm_naive_{dim}"), reps, 1, || {
-            matmul_simple(&a, &b, &mut out, dim, dim, dim);
+    let mut fill =
+        |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform_range(-1.0, 1.0)).collect() };
+    let layers: Vec<(usize, usize, Vec<f64>, Vec<f64>)> = LAYERS
+        .windows(2)
+        .map(|w| (w[0], w[1], fill(BATCH_ROWS * w[0]), fill(w[0] * w[1])))
+        .collect();
+    type Kernel = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
+    let layers = &layers;
+    let run = |kernel: Kernel| {
+        let mut out = vec![0.0; BATCH_ROWS * LAYERS[1]];
+        move || {
+            for (fan_in, fan_out, x, w) in layers {
+                let out = &mut out[..BATCH_ROWS * fan_out];
+                out.fill(0.0);
+                kernel(x, w, out, BATCH_ROWS, *fan_in, *fan_out);
+            }
             std::hint::black_box(&out);
-        }));
-        let blocked = report.stage(time_stage(&format!("pr9_gemm_blocked_{dim}"), reps, 1, || {
-            matmul_blocked(&a, &b, &mut out, dim, dim, dim);
-            std::hint::black_box(&out);
-        }));
-        let simd = report.stage(time_stage(&format!("pr9_gemm_simd_{dim}"), reps, 1, || {
-            matmul_simd_into(&a, &b, &mut out, dim, dim, dim);
-            std::hint::black_box(&out);
-        }));
-        if dim == 256 {
-            report.gate("simd_vs_blocked_256", blocked as f64 / simd.max(1) as f64);
         }
-    }
+    };
+    let (mut naive, mut blocked, mut simd) =
+        (run(matmul_simple), run(matmul_blocked), run(matmul_simd_into));
+    let timings = time_interleaved(
+        7 * reps,
+        25,
+        [
+            ("gemm_train_forward_naive", &mut naive),
+            ("gemm_train_forward_blocked", &mut blocked),
+            ("gemm_train_forward_simd", &mut simd),
+        ],
+    );
+    let [naive, blocked, simd] = timings.map(|t| report.stage(t) as f64);
+    report.gate("forward_gemm_blocked_speedup", naive / blocked);
+    // Without AVX2 the simd entry runs the blocked path itself.
+    let simd_available = report.host.simd_available;
+    report.gate_if("forward_gemm_simd_speedup", blocked / simd, simd_available);
 }
 
-/// GDA fit and scoring at the gate configuration (1000 candidates, 16-d,
-/// 8 components), and the recording overhead on the batched pass.
+/// GDA fit and scoring at the system shape: fit on the trained MLP's 32-d
+/// features of the 2,500-row pool (2 classes × 2 groups), score the 830
+/// candidates, and the recording overhead on the batched pass.
 fn scoring(report: &mut PerfReport, reps: usize, inputs: &Inputs) {
-    let cfg = FairDensityConfig::default();
-    let fit = |x: &Matrix| FairDensityEstimator::fit(x, &inputs.train_y, &inputs.train_s, 4, &cfg);
-    report.stage(time_stage("gda_fit_2000x16", reps, 1, || {
-        std::hint::black_box(fit(&inputs.train_x).unwrap());
+    let cfg = FactionParams::default().density;
+    let pool = inputs.session.pool();
+    let mlp = inputs.session.model().mlp();
+    let pool_z = mlp.features(pool.features());
+    let fit = || FairDensityEstimator::fit(&pool_z, pool.labels(), pool.sensitives(), 2, &cfg);
+    report.stage(time_stage("gda_fit_2500x32", reps, 1, || {
+        std::hint::black_box(fit().unwrap());
     }));
-    let est = fit(&inputs.train_x).unwrap();
-    let cand_x = &inputs.cand_x;
-    let n = cand_x.rows();
-    let per_sample = report.stage(time_stage("gda_score_1000_per_sample", reps, 1, || {
+    let est = fit().unwrap();
+    let cand_z = mlp.features(&inputs.candidates);
+    let n = cand_z.rows();
+    let mut per_sample = || {
         let mut acc = 0.0;
         for i in 0..n {
-            let z = cand_x.row(i);
+            let z = cand_z.row(i);
             acc += est.log_density(z).unwrap();
             acc += est.delta_g_all(z).unwrap().iter().sum::<f64>();
         }
         std::hint::black_box(acc);
-    }));
+    };
     let mut scratch = DensityScratch::new();
     let mut log_density = vec![0.0; n];
     let mut gaps = Matrix::zeros(0, 0);
     let mut score = || {
-        est.score_batch_into(cand_x, &mut scratch, &mut log_density, &mut gaps).unwrap();
+        est.score_batch_into(&cand_z, &mut scratch, &mut log_density, &mut gaps).unwrap();
         std::hint::black_box(&log_density);
     };
-    let batched = report.stage(time_stage("gda_score_1000_batched", reps, 1, &mut score));
+    let timings = time_interleaved(
+        3 * reps,
+        1,
+        [("gda_score_830_per_sample", &mut per_sample), ("gda_score_830_batched", &mut score)],
+    );
+    let [per_sample, batched] = timings.map(|t| report.stage(t));
     report.gate("gda_batch_speedup", per_sample as f64 / batched as f64);
 
     // The scoring kernels emit one counter and one histogram observation
@@ -246,7 +231,7 @@ fn scoring(report: &mut PerfReport, reps: usize, inputs: &Inputs) {
         "the recorded pass must actually have recorded"
     );
     for (name, mut ns) in
-        [("gda_score_1000_batched_noop", noop_ns), ("gda_score_1000_batched_recorded", recorded_ns)]
+        [("gda_score_830_batched_noop", noop_ns), ("gda_score_830_batched_recorded", recorded_ns)]
     {
         let median_ns = median(&mut ns);
         report.stage(StageTiming {
@@ -260,36 +245,29 @@ fn scoring(report: &mut PerfReport, reps: usize, inputs: &Inputs) {
     report.gate("telemetry_overhead_pct", overhead_pct[pairs / 2]);
 }
 
-/// MLP feature extraction, training steps at a 512-row and the 64-row
-/// training batch (gating the step/forward ratio), and one full FACTION
-/// selection round. Returns the trained model the pool sections score with.
-fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) -> OnlineModel {
-    let arch = MlpConfig::new(vec![D, 64, 32, 2], 31);
+/// MLP feature extraction of the 830 candidates, one training step over
+/// one forward pass at the training shape (gating the step/forward ratio),
+/// and one full FACTION selection round against the 2,500-row pool.
+fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) {
+    let arch = MlpConfig::new(LAYERS.to_vec(), 31);
     let mut mlp = Mlp::new(&arch);
     let mut ws = MlpWorkspace::new();
     let mut feats = Matrix::zeros(0, 0);
-    report.stage(time_stage("feature_extraction_1000", reps, 4, || {
-        mlp.features_into(&inputs.cand_x, &mut ws, &mut feats);
+    report.stage(time_stage("feature_extraction_830", reps, 4, || {
+        mlp.features_into(&inputs.candidates, &mut ws, &mut feats);
         std::hint::black_box(&feats);
-    }));
-
-    let meta = BatchMeta { labels: &inputs.binary_y[..512], sensitive: &inputs.train_s[..512] };
-    let mut batch = Matrix::zeros(0, 0);
-    for i in 0..512 {
-        batch.push_row(inputs.train_x.row(i)).unwrap();
-    }
-    let mut opt = Sgd::new(0.05).with_momentum(0.9);
-    report.stage(time_stage("train_step_512", reps, 4, || {
-        let loss = mlp.train_step_with(&batch, &meta, &CrossEntropyLoss, &mut opt, &mut ws);
-        std::hint::black_box(loss);
     }));
 
     // Backprop against forward at the shape training really runs: one
     // 64-row batch through 16→64→32→2, both timed on this thread.
-    let rows = 64;
-    let meta = BatchMeta { labels: &inputs.binary_y[..rows], sensitive: &inputs.train_s[..rows] };
-    let head = inputs.train_x.as_slice()[..rows * D].to_vec();
-    let batch = Matrix::from_vec(rows, D, head).unwrap();
+    let pool = inputs.session.pool();
+    let meta = BatchMeta {
+        labels: &pool.labels()[..BATCH_ROWS],
+        sensitive: &pool.sensitives()[..BATCH_ROWS],
+    };
+    let head = pool.features().as_slice()[..BATCH_ROWS * D].to_vec();
+    let batch = Matrix::from_vec(BATCH_ROWS, D, head).unwrap();
+    let mut opt = Sgd::new(0.05).with_momentum(0.9);
     let mut logits = Matrix::zeros(0, 0);
     let forward = report.stage(time_stage("forward_64", reps, 200, || {
         mlp.logits_into(&batch, &mut ws, &mut logits);
@@ -301,26 +279,18 @@ fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) -> OnlineMode
     }));
     report.gate("train_step_over_forward", step as f64 / forward.max(1) as f64);
 
-    let mut model = OnlineModel::new(&arch, &ExperimentConfig::quick(), 37);
-    let mut pool = LabeledPool::new();
-    for i in 0..300 {
-        inputs.push(&mut pool, i);
-    }
-    model.retrain(&pool, &CrossEntropyLoss);
     let mut strategy = Faction::new(FactionParams::default());
-    let cand_sens = alternating_sensitives(inputs.cand_x.rows());
     let mut rng = SeedRng::new(41);
-    report.stage(time_stage("faction_round_1000", reps, 1, || {
+    report.stage(time_stage("faction_round_830", reps, 1, || {
         let ctx = SelectionContext {
-            model: &model,
-            pool: &pool,
-            candidates: &inputs.cand_x,
-            candidate_sensitives: &cand_sens,
+            model: inputs.session.model(),
+            pool: inputs.session.pool(),
+            candidates: &inputs.candidates,
+            candidate_sensitives: &inputs.candidate_sensitives,
             num_classes: 2,
         };
         std::hint::black_box(strategy.desirability(&ctx, &mut rng));
     }));
-    model
 }
 
 /// Per-round cost vs pool size, full vs incremental refit. A sliding window
@@ -329,10 +299,10 @@ fn training(report: &mut PerfReport, reps: usize, inputs: &Inputs) -> OnlineMode
 /// the candidate-side cost is constant and the refit cost is what varies:
 /// full refit re-extracts and refits the whole pool (linear in pool size),
 /// incremental refit replays 16 rank-1 up/downdates (flat).
-fn refit_growth(report: &mut PerfReport, quick: bool, inputs: &Inputs, model: &OnlineModel) {
+fn refit_growth(report: &mut PerfReport, quick: bool, inputs: &Inputs) {
     let reps = if quick { 5 } else { 15 };
-    let (cands, _, _) = synthetic(16, D, 2, 53);
-    let cand_sens = alternating_sensitives(16);
+    let cands = Matrix::from_vec(16, D, inputs.candidates.as_slice()[..16 * D].to_vec()).unwrap();
+    let cand_sens = &inputs.candidate_sensitives[..16];
     // Per refit mode, the round medians at each pool size.
     let mut round_ns = [Vec::new(), Vec::new()];
     for size in POOL_SIZES {
@@ -352,17 +322,18 @@ fn refit_growth(report: &mut PerfReport, quick: bool, inputs: &Inputs, model: &O
             let strategy = Faction::new(FactionParams { refit, ..Default::default() });
             let score = |pool: &LabeledPool| {
                 strategy.raw_scores(&SelectionContext {
-                    model,
+                    model: inputs.session.model(),
                     pool,
                     candidates: &cands,
-                    candidate_sensitives: &cand_sens,
+                    candidate_sensitives: cand_sens,
                     num_classes: 2,
                 })
             };
             // Warm-up round: anchors the incremental state (and reaches the
             // scratch high-water mark) so the timed rounds are steady-state.
             std::hint::black_box(score(&pool));
-            let ns = report.stage(time_stage(&format!("pr6_round_{label}_{size}"), reps, 1, || {
+            let name = format!("refit_round_{label}_{size}");
+            let ns = report.stage(time_stage(&name, reps, 1, || {
                 push_rows(&mut pool, 8);
                 std::hint::black_box(score(&pool));
             }));
@@ -376,19 +347,21 @@ fn refit_growth(report: &mut PerfReport, quick: bool, inputs: &Inputs, model: &O
 
 /// Steady-state push+evict cost vs pool size: every timed push is one back
 /// append plus one front eviction. With the tombstone head this is O(d)
-/// whatever the pool size; a memmoving front eviction grows linearly. Then
-/// the analyzer's workspace self-scan, median of three.
+/// whatever the pool size; a memmoving front eviction grows linearly. The
+/// window is filled and turned over once before timing, so the timed
+/// pushes run on buffers that have stopped growing. Then the analyzer's
+/// workspace self-scan, median of three.
 fn eviction_and_analyzer(report: &mut PerfReport, quick: bool, inputs: &Inputs) {
     let reps = if quick { 5 } else { 15 };
     let mut push_ns = Vec::new();
     for size in POOL_SIZES {
         let mut pool = LabeledPool::with_policy(PoolPolicy::SlidingWindow(size), 61);
         let mut next = 0usize;
-        while pool.len() < size {
+        while next < 2 * size {
             inputs.push(&mut pool, next);
             next += 1;
         }
-        let ns = report.stage(time_stage(&format!("pr7_push_evict_{size}"), reps, 64, || {
+        let ns = report.stage(time_stage(&format!("push_evict_{size}"), reps, 64, || {
             inputs.push(&mut pool, next);
             next += 1;
         }));
@@ -410,102 +383,17 @@ fn eviction_and_analyzer(report: &mut PerfReport, quick: bool, inputs: &Inputs) 
     report.gate("analyzer_findings", scan.findings.len() as f64);
 }
 
-/// Multi-tenant serve throughput and feed latency. Each scale drives N
-/// sessions (4 tenants, cheap single-task streams) through the full
-/// SessionManager wave machinery: open, one task, two rounds, close.
-/// Latency is the `serve.feed_ns` histogram the manager records around
-/// `OnlineSession::feed`. Record-only: per-session cost is constant by
-/// design, so throughput saturates at the smallest scale on a small host.
-fn serve_scaling(report: &mut PerfReport, quick: bool) {
-    let workers = faction_engine::resolve_workers(None);
-    report.value("serve.workers", workers as f64);
-    let scales: &[usize] = if quick { &[16, 64, 256] } else { &[64, 512, 2048] };
-    let mut rates = Vec::new();
-    for &sessions in scales {
-        let mut w = String::new();
-        for i in 0..sessions {
-            w += &format!(
-                "open s{i} tenant=t{} dataset=rcmnist strategy=random seed={} \
-                 tasks=1 samples=40 budget=4 batch=2 warm=8\n",
-                i % 4,
-                100 + i
-            );
-        }
-        w += "drain\n";
-        for i in 0..sessions {
-            w += &format!("task s{i} 0\nround s{i}\nround s{i}\n");
-        }
-        for i in 0..sessions {
-            w += &format!("close s{i}\n");
-        }
-        let requests =
-            parse_workload(&w, &ExperimentConfig::quick()).expect("serve workload parses");
-        let registry = Arc::new(Registry::new());
-        let mut manager = SessionManager::new(ServeConfig {
-            workers,
-            max_sessions: sessions,
-            recorder: Handle::from(registry.clone()),
-            ..ServeConfig::default()
-        });
-        let start = Instant::now();
-        manager.run(&requests);
-        let wall = start.elapsed();
-        let snapshot = registry.snapshot();
-        assert_eq!(
-            snapshot.counter("serve.sessions.closed"),
-            Some(sessions as u64),
-            "the serve workload must close every session"
-        );
-        let feed = snapshot.histogram("serve.feed_ns").expect("serve.feed_ns recorded");
-        let rate = sessions as f64 / wall.as_secs_f64();
-        rates.push(rate);
-        report.value(format!("serve.{sessions}_sessions.wall_ms"), wall.as_millis() as f64);
-        report.value(format!("serve.{sessions}_sessions.sessions_per_sec"), rate);
-        report.value(format!("serve.{sessions}_sessions.feed_p99_ns"), histogram_p99(feed) as f64);
-        report.value(format!("serve.{sessions}_sessions.feeds"), feed.count as f64);
-    }
-    report.value("serve.throughput_ratio", rates[2] / rates[0].max(f64::MIN_POSITIVE));
-}
-
-/// Checkpoint bytes and codec cost: the wire container against both JSON
-/// renders of the same `Checkpoint`. The gated claim is on the pretty
-/// debug export, the format the checkpoint path was demoted from.
-fn wire_sizes(report: &mut PerfReport, quick: bool) {
-    let reps = if quick { 3 } else { 9 };
-    let mut ratios = (0.0, 0.0);
-    for pool_size in POOL_SIZES {
-        let mut rng = SeedRng::new(0xF10 + pool_size as u64);
-        let mut pool = LabeledPool::new();
-        for i in 0..pool_size {
-            let y = i % 2;
-            let mut x = rng.standard_normal_vec(16);
-            x[0] += 2.0 * y as f64;
-            pool.push(x, y, if i % 3 == 0 { 1 } else { -1 });
-        }
-        let mlp = Mlp::new(&MlpConfig::new(vec![16, 32, 2], 7));
-        let ckpt = Checkpoint::capture(&mlp, &pool, pool_size);
-        let wire = to_wire(PayloadKind::Checkpoint, &ckpt).expect("checkpoint encodes");
-        let compact = serde_json::to_string(&ckpt).expect("checkpoint renders").len();
-        let pretty = serde_json::to_string_pretty(&ckpt).expect("checkpoint renders").len();
-        let mut sink = 0usize;
-        report.stage(time_stage(&format!("wire_encode_{pool_size}"), reps, 1, || {
-            sink += to_wire(PayloadKind::Checkpoint, &ckpt).unwrap().len();
-        }));
-        report.stage(time_stage(&format!("wire_decode_{pool_size}"), reps, 1, || {
-            let decoded: Checkpoint = from_wire(PayloadKind::Checkpoint, &wire).unwrap();
-            sink += std::hint::black_box(&decoded).next_task;
-        }));
-        report.stage(time_stage(&format!("json_encode_{pool_size}"), reps, 1, || {
-            sink += serde_json::to_string(&ckpt).unwrap().len();
-        }));
-        std::hint::black_box(sink);
-        report.value(format!("wire.{pool_size}.wire_bytes"), wire.len() as f64);
-        report.value(format!("wire.{pool_size}.compact_json_bytes"), compact as f64);
-        report.value(format!("wire.{pool_size}.pretty_json_bytes"), pretty as f64);
-        ratios = (compact as f64 / wire.len() as f64, pretty as f64 / wire.len() as f64);
-    }
-    report.value("compact_ratio_4000", ratios.0);
-    report.gate("pretty_ratio_4000", ratios.1);
+/// Session snapshot bytes: the compact JSON `faction_cli inspect` prints
+/// over the wire container serve stashes, for the session with the
+/// 2,500-row pool (the shape of perfbench's `wire.snapshot_bytes`).
+fn snapshot_bytes(report: &mut PerfReport, inputs: &Inputs) {
+    let snapshot = inputs.session.snapshot(&inputs.strategy);
+    let wire = snapshot.to_wire_bytes().len();
+    let json = serde_json::to_string(&snapshot).expect("snapshot renders").len();
+    report.value("snapshot.pool_rows", inputs.session.pool().len() as f64);
+    report.value("snapshot.wire_bytes", wire as f64);
+    report.value("snapshot.compact_json_bytes", json as f64);
+    report.gate("snapshot_json_over_wire", json as f64 / wire as f64);
 }
 
 /// One FACTION job through the engine with a live registry: the runner's
@@ -667,11 +555,10 @@ fn main() {
     let inputs = Inputs::new();
     gemm(&mut report, reps);
     scoring(&mut report, reps, &inputs);
-    let model = training(&mut report, reps, &inputs);
-    refit_growth(&mut report, quick, &inputs, &model);
+    training(&mut report, reps, &inputs);
+    refit_growth(&mut report, quick, &inputs);
     eviction_and_analyzer(&mut report, quick, &inputs);
-    serve_scaling(&mut report, quick);
-    wire_sizes(&mut report, quick);
+    snapshot_bytes(&mut report, &inputs);
     phase_coverage(&mut report);
     grid_scaling(&mut report, quick);
 

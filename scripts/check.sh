@@ -52,12 +52,16 @@ run_stage "faction-analyzer (determinism & numerics lint)" \
 run_stage "analyzer-v2 (golden fixtures + self-scan)" \
     cargo test -q -p faction-analyzer --release --test golden
 
-# Perf gate: one perf_report --quick run times every stage, evaluates the
-# gate table (kernel and scoring speedups, telemetry overhead, phase
-# coverage, refit and eviction growth, analyzer findings, wire size, grid
-# scaling) into target/bench-smoke/perf_report.json, and exits 1 if any
-# gate fails. Its determinism asserts (every worker count and the
-# instrumented grid byte-identical to the 1-worker run) fail it too.
+# Perf gate: one perf_report --quick run times every stage at the shapes a
+# paper-scale RCMNIST run has, evaluates the gate table
+# (faction_bench::perf::GATES: forward_gemm_blocked_speedup,
+# forward_gemm_simd_speedup, gda_batch_speedup, telemetry_overhead_pct,
+# train_step_over_forward, incremental_growth, full_refit_growth,
+# eviction_growth, analyzer_findings, snapshot_json_over_wire,
+# phase_coverage, grid_speedup_4_workers) into
+# target/bench-smoke/perf_report.json, and exits 1 if any gate fails. Its
+# determinism asserts (every worker count and the instrumented grid
+# byte-identical to the 1-worker run) fail it too.
 run_stage "perf_report --quick (perf gates)" \
     cargo run -q -p faction-bench --release --bin perf_report -- --quick --out-dir "${BENCH_SMOKE}"
 

@@ -94,7 +94,10 @@ impl Flags {
         let mut i = 0;
         while i < args.len() {
             if let Some(key) = args[i].strip_prefix("--") {
-                let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+                // `--quick` is the one switch: the argument after it is
+                // never its value.
+                let takes_value = key != "quick";
+                let value = if takes_value && i + 1 < args.len() && !args[i + 1].starts_with("--") {
                     i += 1;
                     args[i].clone()
                 } else {
@@ -150,6 +153,15 @@ impl Flags {
                 ))
             })
         })
+    }
+}
+
+/// `--seeds N` (default 3) for `run` and `grid`: zero seeds is a usage
+/// error, not an empty run.
+fn seeds_from_flags(flags: &Flags) -> u64 {
+    match flags.parse_value("seeds", "positive integer") {
+        Some(0) => usage_error("invalid value '0' for --seeds (expected positive integer)"),
+        seeds => seeds.unwrap_or(3),
     }
 }
 
@@ -244,7 +256,7 @@ fn cmd_run(flags: &Flags) {
         usage_error("--dataset is required (one of RCMNIST, CelebA, FairFace, FFHQ, NYSF)")
     });
     let strategy_name = flags.get("strategy").unwrap_or("faction");
-    let seeds: u64 = flags.parse_value("seeds", "integer").unwrap_or(3);
+    let seeds = seeds_from_flags(flags);
     let lambda: f64 = flags.parse_value("lambda", "float").unwrap_or(1.0);
     if faction::engine::build_strategy(strategy_name, cfg.loss, lambda, quick).is_none() {
         usage_error(&format!("unknown strategy '{strategy_name}' for --strategy"));
@@ -326,7 +338,7 @@ fn cmd_grid(flags: &Flags) {
         0,
     );
     let (cfg, scale, quick) = config_from_flags(flags);
-    let seeds: u64 = flags.parse_value("seeds", "integer").unwrap_or(3);
+    let seeds = seeds_from_flags(flags);
     let lambda: f64 = flags.parse_value("lambda", "float").unwrap_or(1.0);
 
     let datasets: Vec<Dataset> = match (flags.get("datasets"), flags.dataset("dataset")) {

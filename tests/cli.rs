@@ -100,15 +100,39 @@ fn kernel_backend_is_an_unknown_flag() {
 }
 
 #[test]
+fn zero_seeds_is_a_usage_error() {
+    // Zero seeds would run nothing and exit 0; every harness rejects it,
+    // and so do `run` and `grid`.
+    for args in [
+        &["run", "--dataset", "NYSF", "--seeds", "0"][..],
+        &["grid", "--seeds", "0"][..],
+    ] {
+        assert_usage_error(
+            &cli(args),
+            "error: invalid value '0' for --seeds (expected positive integer)",
+        );
+    }
+}
+
+#[test]
 fn stray_positional_is_a_usage_error() {
     // A positional that follows neither a flag nor the command is a usage
     // error naming it, never dropped: `grid --seeds 2 3` must not run 2
-    // seeds.
+    // seeds. `--quick` takes no value, so the argument after it is a
+    // positional too.
     for (args, stray) in [
         (&["grid", "--seeds", "2", "3"][..], "3"),
         (&["run", "NYSF", "--dataset", "NYSF"][..], "NYSF"),
         (&["serve", "--workload", "w", "extra"][..], "extra"),
-        (&["drift", "--quick", "RCMNIST", "more"][..], "more"),
+        (&["drift", "--quick", "RCMNIST", "more"][..], "RCMNIST"),
+        (
+            &["stats", "--dataset", "NYSF", "--quick", "stray"][..],
+            "stray",
+        ),
+        (
+            &["stats", "--dataset", "NYSF", "--quick", "false"][..],
+            "false",
+        ),
         (&["stats", "x"][..], "x"),
         (&["list", "all"][..], "all"),
         (&["inspect", "a.wire", "b.wire"][..], "b.wire"),
